@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"cms/internal/dev"
+	"cms/internal/mem"
 	"cms/internal/tcache"
 	"cms/internal/xlate"
 )
@@ -124,7 +125,7 @@ func TestEngineRestoreRehydratesThroughStore(t *testing.T) {
 	// Round-trip the captured platform through the dev snapshot layer so the
 	// second restore gets its own bus — restoring two engines onto one
 	// platform would alias guest memory.
-	plat2, err := dev.RestorePlatform(e.Plat.ExportState())
+	plat2, err := dev.RestorePlatform(mem.NewBus(e.Plat.Bus.RAMSize()), e.Plat.ExportState())
 	if err != nil {
 		t.Fatal(err)
 	}

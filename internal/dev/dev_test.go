@@ -2,6 +2,7 @@ package dev
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"cms/internal/mem"
@@ -230,5 +231,81 @@ func TestPlatformWiring(t *testing.T) {
 	p.Bus.Write32(ConsoleMMIOBase+8, 0x31323334)
 	if p.Console.Text()[8] != 0x34 {
 		t.Error("text MMIO not wired")
+	}
+}
+
+// The DMA address and BLT source/destination registers hold whatever the
+// guest wrote. Transfers aimed beyond RAM must complete as defined no-ops
+// (bytes beyond RAM dropped, read as zero) instead of panicking the host.
+func TestDiskDMABeyondRAM(t *testing.T) {
+	const ram = 1 << 16
+	bus := mem.NewBus(ram)
+	var irq IRQController
+	img := bytes.Repeat([]byte{0x5A}, 2*SectorSize)
+	d := NewDisk(bus, &irq, img)
+	read := func(addr uint32) {
+		d.PortWrite(DiskLBAPort, 0)
+		d.PortWrite(DiskAddrPort, addr)
+		d.PortWrite(DiskCountPort, 2)
+		d.PortWrite(DiskCmdPort, DiskCmdRead)
+		if d.PortRead(DiskStatusPort) != 1 {
+			t.Fatalf("read to %#x did not complete", addr)
+		}
+	}
+	read(2 * ram) // wholly beyond RAM: every byte dropped
+	read(0xFFFFFFF0)
+	read(ram - SectorSize) // straddles the end: the first sector lands
+	if got := bus.ReadRaw(ram-SectorSize, SectorSize); !bytes.Equal(got, img[:SectorSize]) {
+		t.Error("the in-RAM part of a straddling DMA was lost")
+	}
+	if d.Reads != 3 {
+		t.Errorf("Reads = %d, want 3", d.Reads)
+	}
+}
+
+func TestBltBeyondRAM(t *testing.T) {
+	const ram = 1 << 16
+	bus := mem.NewBus(ram)
+	var irq IRQController
+	b := NewBlt(bus, &irq)
+	bus.WriteRaw(ram-2, []byte{7, 8})
+	prog := func(src, dst, count, op uint32) {
+		b.MMIOWrite(BltMMIOBase+BltRegSrc, 4, src)
+		b.MMIOWrite(BltMMIOBase+BltRegDst, 4, dst)
+		b.MMIOWrite(BltMMIOBase+BltRegCount, 4, count)
+		b.MMIOWrite(BltMMIOBase+BltRegOp, 4, op)
+		b.MMIOWrite(BltMMIOBase+BltRegGo, 4, 1)
+	}
+	prog(ram-2, 0x100, 4, BltOpCopy) // source runs off RAM: the tail reads as zero
+	if got := bus.ReadRaw(0x100, 4); !bytes.Equal(got, []byte{7, 8, 0, 0}) {
+		t.Errorf("copy from a straddling source = %v", got)
+	}
+	prog(4*ram, 0x200, 4, BltOpCopy) // source wholly beyond RAM
+	prog(0x100, 4*ram, 4, BltOpCopy) // destination wholly beyond RAM
+	prog(4*ram, 4*ram, 16, BltOpXor) // both
+	prog(0x100, 0xFFFFFFFE, 8, BltOpCopy)
+	if got := bus.ReadRaw(0x200, 4); !bytes.Equal(got, make([]byte, 4)) {
+		t.Errorf("copy from beyond RAM = %v, want zeros", got)
+	}
+	if b.Ops() != 5 {
+		t.Errorf("Ops = %d, want 5", b.Ops())
+	}
+}
+
+// A platform wired onto a reset bus is the platform NewPlatform builds.
+func TestNewPlatformOnRecycledBus(t *testing.T) {
+	const ram = 1 << 20
+	p := NewPlatform(ram, []byte{1, 2, 3})
+	p.Bus.Write32(0x5000, 0xdeadbeef)
+	p.Bus.PortWrite(ConsoleDataPort, 'A')
+	p.Bus.Protect(5)
+	p.Bus.Reset()
+	q := NewPlatformOn(p.Bus, nil)
+	if !reflect.DeepEqual(q.ExportState(), NewPlatform(ram, nil).ExportState()) {
+		t.Error("platform on a recycled bus differs from a fresh platform")
+	}
+	q.Bus.PortWrite(ConsoleDataPort, 'B')
+	if q.Console.OutputString() != "B" || p.Console.OutputString() != "A" {
+		t.Error("recycled bus still routes to the previous platform's console")
 	}
 }

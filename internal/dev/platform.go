@@ -17,7 +17,16 @@ type Platform struct {
 // NewPlatform builds a platform with ramSize bytes of RAM and the given disk
 // image (may be nil).
 func NewPlatform(ramSize uint32, diskImage []byte) *Platform {
-	bus := mem.NewBus(ramSize)
+	return NewPlatformOn(mem.NewBus(ramSize), diskImage)
+}
+
+// NewPlatformOn wires the standard device complement onto bus, which must be
+// in its NewBus state: fresh, or returned there by Bus.Reset. This is the
+// only place devices are attached, so a platform on a recycled bus is wired
+// exactly as one on a new bus. The devices themselves are always new — they
+// are a few hundred bytes, and building them per platform makes device
+// reset complete by construction; only the bus carries a reset contract.
+func NewPlatformOn(bus *mem.Bus, diskImage []byte) *Platform {
 	irq := &IRQController{}
 	p := &Platform{
 		Bus:     bus,

@@ -10,7 +10,7 @@ import (
 // attributes, protection, generations) plus every device register that can
 // change after reset. The disk's backing image is included so a restored
 // platform is self-contained; device-to-bus wiring is topology and is
-// re-created by NewPlatform.
+// re-created by NewPlatformOn.
 type PlatformState struct {
 	Bus        *mem.BusState `json:"bus"`
 	IRQPending uint32        `json:"irq_pending"`
@@ -68,15 +68,24 @@ func (p *Platform) ExportState() *PlatformState {
 	}
 }
 
-// RestorePlatform builds a fresh platform from an exported state. The
-// returned platform is wired exactly as NewPlatform wires it, then every
-// device register and the bus contents are overwritten with the captured
-// values.
-func RestorePlatform(s *PlatformState) (*Platform, error) {
+// RAMSize validates the state's bus section and returns the RAM size in
+// bytes of the bus RestorePlatform needs for it.
+func (s *PlatformState) RAMSize() (uint32, error) {
+	if s == nil || s.Bus == nil {
+		return 0, fmt.Errorf("dev: platform state missing bus")
+	}
+	return s.Bus.RAMSize()
+}
+
+// RestorePlatform rebuilds a platform from an exported state on bus, which
+// must be in its NewBus state and of the state's RAMSize. The platform is
+// wired exactly as NewPlatformOn wires it, then every device register and
+// the bus contents are overwritten with the captured values.
+func RestorePlatform(bus *mem.Bus, s *PlatformState) (*Platform, error) {
 	if s == nil || s.Bus == nil {
 		return nil, fmt.Errorf("dev: platform state missing bus")
 	}
-	p := NewPlatform(s.Bus.NumPages<<mem.PageShift, append([]byte(nil), s.DiskImage...))
+	p := NewPlatformOn(bus, append([]byte(nil), s.DiskImage...))
 	if err := p.Bus.RestoreState(s.Bus); err != nil {
 		return nil, err
 	}

@@ -41,6 +41,7 @@ import (
 	"cms/internal/fuzzer"
 	"cms/internal/guest"
 	"cms/internal/incident"
+	"cms/internal/mem"
 	"cms/internal/snapshot"
 	"cms/internal/tcache"
 	"cms/internal/workload"
@@ -215,6 +216,11 @@ type job struct {
 	created   time.Time
 	started   time.Time
 	finished  time.Time
+	// Host phase timers (never part of cms.Metrics): constructNs sums the
+	// attempts' setup up to Engine.Run, teardownNs runs from the last Run's
+	// return until the runner has scrubbed its VM.
+	constructNs int64
+	teardownNs  int64
 }
 
 // JobView is an immutable snapshot of a job for callers and the HTTP API.
@@ -228,6 +234,18 @@ type JobView struct {
 	// (0 until the job finishes) — the number the farmscale harness turns
 	// into p50/p99 serving latency.
 	LatencyNs int64 `json:"latency_ns,omitempty"`
+	// Where the runner's share of that time went, beside Result.WallNs (the
+	// time inside Engine.Run). QueueNs is submit to dequeue. ConstructNs is
+	// dequeue to Engine.Run, summed over attempts: image build or assembly,
+	// VM construction on the runner's recycled bus, image load, engine
+	// construction or snapshot restore. TeardownNs is the last Run's return
+	// to the runner being free again: result or snapshot capture, incident
+	// write, publication, and the VM scrub — the scrub runs after the job is
+	// published, so that part of TeardownNs is not inside LatencyNs, and the
+	// field reads 0 until the scrub is over.
+	QueueNs     int64 `json:"queue_ns,omitempty"`
+	ConstructNs int64 `json:"construct_ns,omitempty"`
+	TeardownNs  int64 `json:"teardown_ns,omitempty"`
 	// Incidents lists the replayable incident bundles written for this
 	// job's failed attempts (empty for healthy jobs or without IncidentDir).
 	Incidents []string `json:"incidents,omitempty"`
@@ -242,7 +260,11 @@ func (j *job) view() JobView {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	v := JobView{ID: j.id, Spec: j.spec, Status: j.status, Error: j.errMsg, Result: j.result,
-		SnapshotBytes: len(j.snap), Restored: j.restore != nil}
+		SnapshotBytes: len(j.snap), Restored: j.restore != nil,
+		ConstructNs: j.constructNs, TeardownNs: j.teardownNs}
+	if !j.started.IsZero() {
+		v.QueueNs = j.started.Sub(j.created).Nanoseconds()
+	}
 	if len(j.incidents) > 0 {
 		v.Incidents = append([]string(nil), j.incidents...)
 	}
@@ -281,7 +303,44 @@ type runnerCounters struct {
 	xlate        atomic.Uint64
 	rollbacks    atomic.Uint64
 	retrans      atomic.Uint64
+	vmBuilds     atomic.Uint64 // guest RAM allocated (first job, or RAM size changed)
+	vmReuses     atomic.Uint64 // attempts served on the slot's recycled RAM
+	scrubbed     atomic.Uint64 // RAM pages zeroed by the scrubs
 	_            [64]byte
+}
+
+// vmSlot is the one guest VM a runner keeps between jobs. What it keeps is
+// the mem.Bus — the 2 MiB of RAM and per-page arrays that were most of a
+// job's construction cost — returned to its NewBus state by Bus.Reset, whose
+// cost follows the pages the job dirtied. Devices and the engine are rebuilt
+// per attempt (dev.NewPlatformOn). A slot belongs to one runner goroutine and
+// is never shared: a job's bytes are only ever in the RAM of the runner that
+// ran it, and are gone before that runner takes another job.
+type vmSlot struct {
+	bus *mem.Bus
+	rc  *runnerCounters
+}
+
+// acquire returns the slot's bus for an attempt that needs ram bytes, in its
+// NewBus state. The bus is reallocated only when the RAM size differs from
+// the previous job's.
+func (s *vmSlot) acquire(ram uint32) *mem.Bus {
+	if s.bus != nil && s.bus.NumPages() == (ram+mem.PageSize-1)/mem.PageSize {
+		s.rc.vmReuses.Add(1)
+		return s.bus
+	}
+	s.bus = mem.NewBus(ram)
+	s.rc.vmBuilds.Add(1)
+	return s.bus
+}
+
+// scrub returns the slot's bus to its NewBus state. It runs after every
+// attempt, whatever became of it — halt, error, recovered panic, timeout,
+// checkpoint — because Bus.Reset takes the bus as it finds it.
+func (s *vmSlot) scrub() {
+	if s.bus != nil {
+		s.rc.scrubbed.Add(uint64(s.bus.Reset()))
+	}
 }
 
 // Farm runs guest VMs over a shared translation store.
@@ -567,6 +626,14 @@ type Stats struct {
 	BreakerOpen    bool
 	BreakerShed    uint64
 
+	// VM recycling: VMBuilds counts guest RAM allocations (a runner's first
+	// job, or a job whose RAM size differs from the runner's previous one),
+	// VMReuses attempts served on recycled RAM, ScrubbedPages the RAM pages
+	// the between-job scrubs had to zero.
+	VMBuilds      uint64
+	VMReuses      uint64
+	ScrubbedPages uint64
+
 	Store tcache.SharedStats
 
 	// Aggregates over completed jobs.
@@ -608,6 +675,9 @@ func (f *Farm) Stats() Stats {
 		st.Translations += r.xlate.Load()
 		st.Rollbacks += r.rollbacks.Load()
 		st.Retranslations += r.retrans.Load()
+		st.VMBuilds += r.vmBuilds.Load()
+		st.VMReuses += r.vmReuses.Load()
+		st.ScrubbedPages += r.scrubbed.Load()
 	}
 	return st
 }
@@ -617,7 +687,7 @@ func (f *Farm) Stats() Stats {
 // mutex and this runner's counter shard — never a farm-wide lock.
 func (f *Farm) runner(slot int) {
 	defer f.wg.Done()
-	rc := &f.runners[slot]
+	vm := &vmSlot{rc: &f.runners[slot]}
 	for j := range f.queue {
 		f.active.Add(1)
 		f.queued.Add(-1)
@@ -626,7 +696,15 @@ func (f *Farm) runner(slot int) {
 		j.started = time.Now()
 		j.mu.Unlock()
 
-		f.process(j, rc)
+		runEnd := f.process(j, vm)
+
+		// Teardown. The job is published, so its submitter is not waiting
+		// on this; the next job is not dequeued yet, so no tenant's bytes
+		// sit in an idle runner.
+		vm.scrub()
+		j.mu.Lock()
+		j.teardownNs = time.Since(runEnd).Nanoseconds()
+		j.mu.Unlock()
 
 		f.active.Add(-1)
 	}
@@ -669,11 +747,14 @@ func demote(c cms.Config) (cms.Config, string, bool) {
 // outcome. This is the paper's speculate/recover/retranslate-conservatively
 // response lifted to whole jobs: the aggressive configuration is the
 // speculation, the recover() and watchdog are the rollback, and the demoted
-// rung is the conservative retranslation.
-func (f *Farm) process(j *job, rc *runnerCounters) {
-	out := f.attempt(j, 0, f.cfg.Engine, rungName(f.cfg.Engine))
+// rung is the conservative retranslation. It returns when the last
+// Engine.Run returned, which is where the runner's teardown time starts.
+func (f *Farm) process(j *job, vm *vmSlot) (runEnd time.Time) {
+	rc := vm.rc
+	out := f.attempt(j, vm, 0, f.cfg.Engine, rungName(f.cfg.Engine))
 	countAttempt(rc, out)
 	incidents := out.incidents()
+	constructNs := out.constructNs
 	retried := false
 	firstErr := ""
 	// Restored jobs never retry on a demoted rung: a snapshot is only valid
@@ -683,15 +764,18 @@ func (f *Farm) process(j *job, rc *runnerCounters) {
 			retried = true
 			firstErr = out.err.Error()
 			rc.retries.Add(1)
-			out = f.attempt(j, 1, demoted, drung)
+			vm.scrub() // the retry starts from a clean VM, like any job
+			out = f.attempt(j, vm, 1, demoted, drung)
 			countAttempt(rc, out)
 			incidents = append(incidents, out.incidents()...)
+			constructNs += out.constructNs
 		}
 	}
 
 	j.mu.Lock()
 	j.finished = time.Now()
 	j.incidents = incidents
+	j.constructNs = constructNs
 	switch {
 	case out.snap != nil:
 		j.status = StatusCheckpointed
@@ -743,6 +827,7 @@ func (f *Farm) process(j *job, rc *runnerCounters) {
 		rc.failed.Add(1)
 		f.breaker.record(true)
 	}
+	return out.runEnd
 }
 
 // countAttempt folds per-attempt (not per-job) outcomes into the runner's
@@ -761,6 +846,9 @@ type attemptOut struct {
 	kind      string // incident.Kind* for engine failures, "" for setup errors
 	retryable bool
 	incident  string // bundle path, "" when none was written
+
+	constructNs int64     // attempt start to Engine.Run (the whole attempt on a setup error)
+	runEnd      time.Time // when Engine.Run returned (or setup gave up)
 }
 
 func (o attemptOut) incidents() []string {
@@ -777,7 +865,12 @@ func (o attemptOut) incidents() []string {
 // panic — a compiled-closure bug, or an injected chaos panic — is contained
 // to this attempt: the implicated shared artifact is poisoned, an incident
 // bundle is written, and the runner keeps serving.
-func (f *Farm) attempt(j *job, n int, engCfg cms.Config, rung string) attemptOut {
+func (f *Farm) attempt(j *job, vm *vmSlot, n int, engCfg cms.Config, rung string) attemptOut {
+	begin := time.Now()
+	setupFailed := func(err error) attemptOut {
+		now := time.Now()
+		return attemptOut{err: err, constructNs: now.Sub(begin).Nanoseconds(), runEnd: now}
+	}
 	spec := j.spec
 	var (
 		org, entry uint32
@@ -791,7 +884,7 @@ func (f *Farm) attempt(j *job, n int, engCfg cms.Config, rung string) attemptOut
 		case spec.Workload != "":
 			w, err := workload.ByName(spec.Workload)
 			if err != nil {
-				return attemptOut{err: err}
+				return setupFailed(err)
 			}
 			img := w.Build()
 			org, data, entry = img.Org, img.Data, img.Entry
@@ -799,7 +892,7 @@ func (f *Farm) attempt(j *job, n int, engCfg cms.Config, rung string) attemptOut
 		default:
 			prog, err := asm.Assemble(spec.Source)
 			if err != nil {
-				return attemptOut{err: err}
+				return setupFailed(err)
 			}
 			org, data, entry = prog.Org, prog.Image, prog.Entry()
 			ram = 1 << 21
@@ -848,9 +941,13 @@ func (f *Farm) attempt(j *job, n int, engCfg cms.Config, rung string) attemptOut
 		plat *dev.Platform
 	)
 	if j.restore != nil {
-		re, err := snapshot.Restore(j.restore, cfg)
+		size, err := j.restore.Platform.RAMSize()
 		if err != nil {
-			return attemptOut{err: fmt.Errorf("farm: restore: %w", err)}
+			return setupFailed(fmt.Errorf("farm: restore: %w", err))
+		}
+		re, err := snapshot.RestoreOn(vm.acquire(size), j.restore, cfg)
+		if err != nil {
+			return setupFailed(fmt.Errorf("farm: restore: %w", err))
 		}
 		e, plat = re, re.Plat
 		if sched != nil {
@@ -865,7 +962,7 @@ func (f *Farm) attempt(j *job, n int, engCfg cms.Config, rung string) attemptOut
 			budget = e.Budget()
 		}
 	} else {
-		plat = dev.NewPlatform(ram, disk)
+		plat = dev.NewPlatformOn(vm.acquire(ram), disk)
 		plat.Bus.WriteRaw(org, data)
 		if sched != nil {
 			plat.Bus.ForceProtHit = sched.ForceProtHit
@@ -893,17 +990,27 @@ func (f *Farm) attempt(j *job, n int, engCfg cms.Config, rung string) attemptOut
 		}()
 		runErr = e.Run(budget)
 	}()
-	wall := time.Since(t0).Nanoseconds()
-
-	imageSHA := ""
-	if j.restore == nil {
-		imageSHA = incident.ImageHash(org, entry, ram, data, disk)
-	}
+	runEnd := time.Now()
+	wall := runEnd.Sub(t0).Nanoseconds()
 	capture := func(kind, errMsg string) string {
+		if f.cfg.IncidentDir == "" {
+			return ""
+		}
+		// Hashed here, not per job: only a written bundle reads it.
+		imageSHA := ""
+		if j.restore == nil {
+			imageSHA = incident.ImageHash(org, entry, ram, data, disk)
+		}
 		return f.writeIncident(j, n, rung, kind, errMsg, stack, spec, budget,
 			imageSHA, cfg, e, plat)
 	}
 
+	out := attemptOut{constructNs: t0.Sub(begin).Nanoseconds(), runEnd: runEnd}
+	fail := func(kind, errMsg string, retryable bool) attemptOut {
+		out.err, out.kind, out.retryable = errors.New(errMsg), kind, retryable
+		out.incident = capture(kind, errMsg)
+		return out
+	}
 	switch {
 	case panicked:
 		// Contain the blast radius: quarantine the shared artifact that was
@@ -911,35 +1018,26 @@ func (f *Farm) attempt(j *job, n int, engCfg cms.Config, rung string) attemptOut
 		if key, ok := e.ImplicatedKey(); ok {
 			f.store.Poison(key, engCfg.PoisonTTL)
 		}
-		errMsg := fmt.Sprintf("panic: %v", panicVal)
-		out := attemptOut{err: errors.New(errMsg), kind: incident.KindPanic, retryable: true}
-		out.incident = capture(incident.KindPanic, errMsg)
-		return out
+		return fail(incident.KindPanic, fmt.Sprintf("panic: %v", panicVal), true)
 	case errors.Is(runErr, cms.ErrCancelled) && j.checkpoint.Load():
 		// Checkpoint wins over a concurrent deadline: a serialized VM that
 		// can resume elsewhere is strictly more useful than a timeout.
 		blob, err := snapshot.Save(e)
 		if err != nil {
-			errMsg := fmt.Sprintf("checkpoint failed: %v", err)
-			out := attemptOut{err: errors.New(errMsg), kind: incident.KindError}
-			out.incident = capture(incident.KindError, errMsg)
-			return out
+			return fail(incident.KindError, fmt.Sprintf("checkpoint failed: %v", err), false)
 		}
-		return attemptOut{snap: blob}
+		out.snap = blob
+		return out
 	case errors.Is(runErr, cms.ErrCancelled):
-		errMsg := fmt.Sprintf("deadline of %dms exceeded after %d guest insns", spec.DeadlineMs, e.Metrics.GuestTotal())
-		out := attemptOut{err: errors.New(errMsg), kind: incident.KindTimeout}
-		out.incident = capture(incident.KindTimeout, errMsg)
-		return out
+		return fail(incident.KindTimeout, fmt.Sprintf("deadline of %dms exceeded after %d guest insns",
+			spec.DeadlineMs, e.Metrics.GuestTotal()), false)
 	case runErr != nil:
-		out := attemptOut{err: runErr, kind: incident.KindError, retryable: true}
-		out.incident = capture(incident.KindError, runErr.Error())
-		return out
+		return fail(incident.KindError, runErr.Error(), true)
 	}
 
 	cpu := e.CPU()
 	hits, misses := e.SharedStats()
-	return attemptOut{res: &Result{
+	out.res = &Result{
 		Regs:         cpu.Regs,
 		EIP:          cpu.EIP,
 		Flags:        cpu.Flags,
@@ -954,18 +1052,16 @@ func (f *Farm) attempt(j *job, n int, engCfg cms.Config, rung string) attemptOut
 		WallNs:       wall,
 		Attempts:     n + 1,
 		Rung:         rung,
-	}}
+	}
+	return out
 }
 
 // writeIncident captures a failed attempt as a replayable bundle in
-// Config.IncidentDir. Best-effort: a write failure loses the bundle, never
-// the job's status.
+// Config.IncidentDir, which the caller has checked is set. Best-effort: a
+// write failure loses the bundle, never the job's status.
 func (f *Farm) writeIncident(j *job, n int, rung, kind, errMsg, stack string,
 	spec JobSpec, budget uint64, imageSHA string, cfg cms.Config,
 	e *cms.Engine, plat *dev.Platform) string {
-	if f.cfg.IncidentDir == "" {
-		return ""
-	}
 	b := &incident.Bundle{
 		Job:         j.id,
 		Time:        incident.Timestamp(time.Now()),

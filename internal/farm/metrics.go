@@ -69,6 +69,9 @@ func WriteMetrics(w io.Writer, f *Farm) {
 	}
 	gauge("cms_farm_breaker_open", "1 while the admission circuit breaker is shedding load.", open)
 	counter("cms_farm_breaker_shed_total", "Submissions shed while the breaker was open.", st.BreakerShed)
+	counter("cms_farm_vm_builds_total", "Guest RAM allocations: a runner's first job, or a job whose RAM size differs from the runner's previous one.", st.VMBuilds)
+	counter("cms_farm_vm_reuses_total", "Engine attempts served on a runner's recycled guest RAM.", st.VMReuses)
+	counter("cms_farm_scrubbed_pages_total", "Guest RAM pages zeroed by the between-job scrubs.", st.ScrubbedPages)
 	gauge("cms_farm_job_latency_p50_ns", "Median submit-to-completion latency over finished jobs.", p50)
 	gauge("cms_farm_job_latency_p99_ns", "99th-percentile submit-to-completion latency over finished jobs.", p99)
 

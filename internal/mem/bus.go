@@ -129,6 +129,12 @@ type Bus struct {
 	// translations yet.
 	gen []uint64
 
+	// restored marks the pages RestoreState populated (nil until it runs).
+	// Restored generations are verbatim, so an envelope can put bytes on a
+	// page and leave its generation 0; this is the one writer gen cannot
+	// vouch for. See dirty.
+	restored []bool
+
 	// The fine-grain hardware cache: a small set of pages whose fine-grain
 	// masks are resident in "hardware". A write to a fine-grain page that
 	// misses this cache costs a lightweight software refill (counted in
@@ -168,19 +174,74 @@ type BusStats struct {
 func NewBus(size uint32) *Bus {
 	pages := (size + PageSize - 1) / PageSize
 	b := &Bus{
-		ram:        make([]byte, pages*PageSize),
-		attrs:      make([]Attr, pages),
-		protected:  make([]bool, pages),
-		fineMask:   make([]uint32, pages),
-		fineGrain:  make([]bool, pages),
-		gen:        make([]uint64, pages),
-		ports:      make(map[uint16]PortDevice),
-		fgCacheCap: 8,
+		ram:       make([]byte, pages*PageSize),
+		attrs:     make([]Attr, pages),
+		protected: make([]bool, pages),
+		fineMask:  make([]uint32, pages),
+		fineGrain: make([]bool, pages),
+		gen:       make([]uint64, pages),
+		ports:     make(map[uint16]PortDevice),
 	}
+	b.Reset()
+	return b
+}
+
+// Reset returns the bus to exactly the state NewBus left it in — RAM zero,
+// every page present and writable, no protection, no MMIO or port mappings,
+// no hooks, zero Stats — and reports how many RAM pages it had to zero. The
+// cost follows what the previous user touched, not the RAM size: only dirty
+// pages (see dirty) are zeroed, and the per-page arrays are a few bytes a
+// page. A reset bus references no device and no engine, so it can be parked
+// and handed to the next tenant.
+//
+// NewBus itself ends in Reset, so the initial state is defined once. Every
+// field the literal below does not carry over takes its zero value: a field
+// added to Bus is reset by construction unless it is an allocation kept
+// here, and those are what FuzzBusResetComplete compares with a fresh bus.
+func (b *Bus) Reset() int {
+	scrubbed := b.scrubRAM()
 	for i := range b.attrs {
 		b.attrs[i] = AttrPresent | AttrWritable
 	}
-	return b
+	clear(b.protected)
+	clear(b.fineMask)
+	clear(b.fineGrain)
+	clear(b.gen)
+	clear(b.ports)
+	*b = Bus{
+		ram:        b.ram,
+		attrs:      b.attrs,
+		protected:  b.protected,
+		fineMask:   b.fineMask,
+		fineGrain:  b.fineGrain,
+		gen:        b.gen,
+		ports:      b.ports,
+		fgCacheCap: 8,
+	}
+	return scrubbed
+}
+
+// dirty reports whether RAM page p may hold a non-zero byte. This is the
+// invariant every writer of b.ram must keep: it either bumps gen[p] (CPU
+// stores, DMA, WriteRaw — the hot paths already do, for the decode caches)
+// or marks restored[p] (RestoreState, whose generations are the envelope's,
+// not its own). Reset, ExportState and RestoreState visit dirty pages only,
+// so a writer that kept neither would leak bytes to the next tenant and
+// drop them from snapshots.
+func (b *Bus) dirty(p uint32) bool {
+	return b.gen[p] != 0 || (b.restored != nil && b.restored[p])
+}
+
+// scrubRAM zeroes every dirty page and returns how many there were.
+func (b *Bus) scrubRAM() int {
+	n := 0
+	for p := range b.gen {
+		if b.dirty(uint32(p)) {
+			clear(b.ram[p<<PageShift : (p+1)<<PageShift])
+			n++
+		}
+	}
+	return n
 }
 
 // RAMSize returns the size of RAM in bytes.
@@ -589,27 +650,51 @@ func (b *Bus) FetchBytes(addr uint32, dst []byte) int {
 	return n
 }
 
+// inRAM clips the n-byte range at addr to RAM and returns how many of its
+// bytes exist. The raw and DMA accessors take addresses and counts from
+// device registers and image headers, which the guest (or whoever wrote the
+// image) controls; they are clipped here, once, so no caller can index past
+// RAM and the interpreter and translated paths see the same behaviour.
+func (b *Bus) inRAM(addr uint32, n int) int {
+	if n <= 0 || uint64(addr) >= uint64(len(b.ram)) {
+		return 0
+	}
+	return min(n, len(b.ram)-int(addr))
+}
+
 // ReadRaw returns a copy of n bytes of RAM at addr with no checks (for
-// loaders, snapshots, and the self-check comparators).
+// loaders, snapshots, the self-check comparators, and device DMA reads).
+// Bytes beyond RAM read as zero.
 func (b *Bus) ReadRaw(addr uint32, n int) []byte {
 	out := make([]byte, n)
-	copy(out, b.ram[addr:])
+	if m := b.inRAM(addr, n); m > 0 {
+		copy(out, b.ram[addr:])
+	}
 	return out
 }
 
 // WriteRaw stores bytes with no checks and no protection interaction (image
-// loading only).
+// loading only). Bytes beyond RAM are dropped.
 func (b *Bus) WriteRaw(addr uint32, data []byte) {
-	copy(b.ram[addr:], data)
-	b.bumpRange(addr, len(data))
+	n := b.inRAM(addr, len(data))
+	if n == 0 {
+		return
+	}
+	copy(b.ram[addr:], data[:n])
+	b.bumpRange(addr, n)
 }
 
 // DMAWrite performs a device DMA write. DMA bypasses guest page permissions
 // but interacts with CMS protection: a protected page is reported through
 // DMAInvalidate and its protection dropped before the data lands (§3.6.1).
+// Bytes beyond RAM are dropped, and an empty transfer touches nothing.
 func (b *Bus) DMAWrite(addr uint32, data []byte) {
-	for p := PageOf(addr); p <= PageOf(addr+uint32(len(data)-1)); p++ {
-		if p < uint32(len(b.protected)) && b.protected[p] {
+	n := b.inRAM(addr, len(data))
+	if n == 0 {
+		return
+	}
+	for p := PageOf(addr); p <= PageOf(addr+uint32(n)-1); p++ {
+		if b.protected[p] {
 			b.Stats.DMAInvalidations++
 			if b.DMAInvalidate != nil {
 				b.DMAInvalidate(p)
@@ -617,6 +702,6 @@ func (b *Bus) DMAWrite(addr uint32, data []byte) {
 			b.Unprotect(p)
 		}
 	}
-	copy(b.ram[addr:], data)
-	b.bumpRange(addr, len(data))
+	copy(b.ram[addr:], data[:n])
+	b.bumpRange(addr, n)
 }

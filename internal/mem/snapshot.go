@@ -30,7 +30,9 @@ type BusState struct {
 
 // ExportState captures the bus into a BusState. Zero-filled pages are
 // compressed away; everything else is copied, so the state is independent
-// of later bus mutations.
+// of later bus mutations. Only dirty pages are examined, so the cost follows
+// the write set, not the RAM size; a page written and then zeroed again is
+// still elided, so the state does not depend on how it was reached.
 func (b *Bus) ExportState() *BusState {
 	s := &BusState{
 		NumPages:   b.NumPages(),
@@ -44,6 +46,9 @@ func (b *Bus) ExportState() *BusState {
 		Stats:      b.Stats,
 	}
 	for p := uint32(0); p < s.NumPages; p++ {
+		if !b.dirty(p) {
+			continue
+		}
 		page := b.ram[p<<PageShift : (p+1)<<PageShift]
 		if allZero(page) {
 			continue
@@ -53,31 +58,63 @@ func (b *Bus) ExportState() *BusState {
 	return s
 }
 
-// RestoreState overwrites the bus with a previously exported state. The bus
-// must have the same RAM size the state was captured from. Generations are
-// restored verbatim — NOT bumped — so content caches filled before capture
-// remain exactly as valid as they were.
-func (b *Bus) RestoreState(s *BusState) error {
-	n := b.NumPages()
-	if s.NumPages != n {
-		return fmt.Errorf("mem: snapshot has %d pages, bus has %d", s.NumPages, n)
+// maxGen bounds the generations RestoreState accepts. A real generation
+// counts writes to one page and cannot come near it; an envelope that says
+// otherwise is trying to make the guest's next store wrap the counter back
+// to 0, the one value that means "never written".
+const maxGen = 1 << 62
+
+// RAMSize checks that the state is well-formed — every per-page array as
+// long as NumPages says, every page in range and whole, every generation
+// plausible — and returns the RAM size in bytes of the bus it restores
+// onto. It looks at nothing but the state, so a caller can size (or refuse)
+// an allocation before making it.
+func (s *BusState) RAMSize() (uint32, error) {
+	n := s.NumPages
+	if n >= 1<<(32-PageShift) {
+		return 0, fmt.Errorf("mem: snapshot has %d pages, more than a bus can hold", n)
 	}
 	if uint32(len(s.Attrs)) != n || uint32(len(s.Protected)) != n ||
 		uint32(len(s.FineGrain)) != n || uint32(len(s.FineMask)) != n ||
 		uint32(len(s.Gen)) != n {
-		return fmt.Errorf("mem: snapshot page-array lengths do not match %d pages", n)
-	}
-	for i := range b.ram {
-		b.ram[i] = 0
+		return 0, fmt.Errorf("mem: snapshot page-array lengths do not match %d pages", n)
 	}
 	for _, pg := range s.Pages {
 		if pg.Index >= n {
-			return fmt.Errorf("mem: snapshot page %d beyond RAM (%d pages)", pg.Index, n)
+			return 0, fmt.Errorf("mem: snapshot page %d beyond RAM (%d pages)", pg.Index, n)
 		}
 		if len(pg.Data) != PageSize {
-			return fmt.Errorf("mem: snapshot page %d has %d bytes", pg.Index, len(pg.Data))
+			return 0, fmt.Errorf("mem: snapshot page %d has %d bytes", pg.Index, len(pg.Data))
 		}
+	}
+	for p, g := range s.Gen {
+		if g > maxGen {
+			return 0, fmt.Errorf("mem: snapshot page %d has implausible generation %d", p, g)
+		}
+	}
+	return n << PageShift, nil
+}
+
+// RestoreState overwrites the bus with a previously exported state. The bus
+// must have the same RAM size the state was captured from. Generations are
+// restored verbatim — NOT bumped — so content caches filled before capture
+// remain exactly as valid as they were; the pages populated are recorded in
+// restored instead, so they stay dirty whatever generation they carry. A
+// state that fails validation leaves the bus untouched. MMIO and port
+// mappings and the hooks are topology and are left alone.
+func (b *Bus) RestoreState(s *BusState) error {
+	size, err := s.RAMSize()
+	if err != nil {
+		return err
+	}
+	if size != b.RAMSize() {
+		return fmt.Errorf("mem: snapshot has %d pages, bus has %d", s.NumPages, b.NumPages())
+	}
+	b.scrubRAM()
+	b.restored = make([]bool, s.NumPages)
+	for _, pg := range s.Pages {
 		copy(b.ram[pg.Index<<PageShift:], pg.Data)
+		b.restored[pg.Index] = true
 	}
 	copy(b.attrs, s.Attrs)
 	copy(b.protected, s.Protected)

@@ -37,6 +37,7 @@ import (
 
 	"cms/internal/cms"
 	"cms/internal/dev"
+	"cms/internal/mem"
 )
 
 // Magic identifies a snapshot envelope; the trailing digit is the envelope
@@ -74,10 +75,20 @@ func Capture(e *cms.Engine) (*Snapshot, error) {
 // the configuration the captured engine ran with (a snapshot records state,
 // not policy); if it names a shared store, rehydration goes through it.
 func Restore(s *Snapshot, cfg cms.Config) (*cms.Engine, error) {
+	ram, err := s.Platform.RAMSize()
+	if err != nil {
+		return nil, err
+	}
+	return RestoreOn(mem.NewBus(ram), s, cfg)
+}
+
+// RestoreOn is Restore onto a bus the caller supplies: in its NewBus state
+// (fresh, or recycled through Bus.Reset) and of s.Platform.RAMSize() bytes.
+func RestoreOn(bus *mem.Bus, s *Snapshot, cfg cms.Config) (*cms.Engine, error) {
 	if s.Version != Version {
 		return nil, fmt.Errorf("snapshot: version %d, want %d", s.Version, Version)
 	}
-	plat, err := dev.RestorePlatform(s.Platform)
+	plat, err := dev.RestorePlatform(bus, s.Platform)
 	if err != nil {
 		return nil, err
 	}

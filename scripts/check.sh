@@ -6,6 +6,7 @@
 # Usage: scripts/check.sh
 set -eu
 cd "$(dirname "$0")/.."
+gate_start=$(date +%s)
 
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
@@ -23,20 +24,36 @@ go test -race ./...
 # away or skipped.
 go test -race -run 'TestBackendDifferential' -count=1 ./internal/bench/
 
-# The farm differential test is the serving subsystem's correctness
-# contract (solo and in-farm runs byte-identical over the shared store,
-# including mixed vliw/risc farms whose backend-tagged keys must stay
-# disjoint); run the package by name, under -race, so cross-VM sharing
-# bugs fail here.
-# tcache rides along for the sharded-store torture test: shard regressions
-# (single-flight, per-shard budgets, stats folding) must not land quietly.
-go test -race -count=1 ./internal/farm/... ./internal/tcache/...
+# The serving subsystem's correctness contracts ran once already, under
+# -race, in the full suite above: the farm differentials (solo and in-farm
+# runs byte-identical over the shared store, including mixed vliw/risc
+# farms), the sharded-store torture test, and the fault-containment chaos
+# capstone. Running them again by name bought nothing; what the by-name
+# lines guarded against is a contract being renamed away or dropped, and a
+# -list check catches that without executing anything.
+require_tests() {
+	pkg=$1
+	shift
+	listed=$(go test -list '.*' "$pkg")
+	for name in "$@"; do
+		if ! printf '%s\n' "$listed" | grep -qx "$name"; then
+			echo "check.sh: $pkg no longer has $name" >&2
+			exit 1
+		fi
+	done
+}
+require_tests ./internal/farm/ TestFarmDifferential TestFarmDifferentialPipelined \
+	TestFarmMixedBackendDifferential TestChaosServing TestRecycledVMDifferential \
+	TestRecycledVMCanary
+require_tests ./internal/tcache/ TestSharedStoreTorture
+require_tests ./internal/mem/ FuzzBusResetComplete
 
-# Fault-containment chaos gate: hundreds of concurrent mixed jobs —
-# injected panics, watchdog deadlines, healthy work — through every VM
-# slot under -race, with replayable incident capture and bit-identity for
-# the healthy jobs. Run by name so the capstone cannot be renamed away.
-go test -race -count=1 -run 'TestChaosServing' ./internal/farm/
+# Tenant isolation is the one contract that IS run again by name: runners
+# recycle their guest RAM, and job B after job A (halted, panicked, retried,
+# timed out, checkpointed away, restored from a hostile envelope) must be
+# byte-identical to B on a brand-new farm. A failure here must read as
+# "recycling leaks", not as one line among the full suite's.
+go test -race -count=1 -run 'TestRecycledVM' ./internal/farm/
 
 # Backend equivalence over the real workload suite: cmsbench -exp backend
 # hard-fails if Metrics or cache statistics diverge between the vliw and
@@ -58,11 +75,13 @@ go run ./cmd/cmsbench -exp farmscale -farmvms 1,4 -farmjobs 24
 go run ./cmd/cmsfuzz -seeds 64
 
 # Native fuzz targets, a short session each: the ISA codec canonicality
-# property, the bus fast-path/checked-path agreement property, and the
-# three-executor (interpreted / compiled / risc-lowered) equivalence of
-# synthesized atom codes.
+# property, the bus fast-path/checked-path agreement property, the bus
+# reset-completeness property (any op stream, then Reset, equals NewBus
+# field by field), and the three-executor (interpreted / compiled /
+# risc-lowered) equivalence of synthesized atom codes.
 go test -run '^$' -fuzz FuzzDecodeEncodeRoundtrip -fuzztime 5s ./internal/guest/
 go test -run '^$' -fuzz FuzzBusReadWrite -fuzztime 5s ./internal/mem/
+go test -run '^$' -fuzz FuzzBusResetComplete -fuzztime 5s ./internal/mem/
 go test -run '^$' -fuzz FuzzRiscLowerRoundtrip -fuzztime 5s ./internal/risc/
 
 # Coverage floors for the engine and translator, set just under the value
@@ -164,4 +183,4 @@ for ex in examples/*/; do
 	echo "check.sh: example $name ok"
 done
 
-echo "check.sh: all green"
+echo "check.sh: all green in $(($(date +%s) - gate_start))s"
