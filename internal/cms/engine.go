@@ -234,7 +234,9 @@ func (e *Engine) stepInterp() {
 
 // hot reports whether the profiler says eip deserves translation.
 func (e *Engine) hot(eip uint32) bool {
-	if e.site(eip).interpOnly {
+	// A read-only lookup: the dispatcher asks this for every address it
+	// interprets, and nearly none of them ever becomes a site.
+	if s := e.sites[eip]; s != nil && s.interpOnly {
 		return false
 	}
 	return e.Interp.Prof.Heads[eip] >= e.Cfg.HotThreshold

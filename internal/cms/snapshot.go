@@ -2,6 +2,7 @@ package cms
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 
 	"cms/internal/dev"
@@ -116,6 +117,10 @@ func (e *Engine) ExportState() (*EngineState, error) {
 	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
 	for _, a := range addrs {
 		st := e.sites[a]
+		if reflect.DeepEqual(*st, site{}) {
+			// Nothing adapted: it is the site restore creates on demand.
+			continue
+		}
 		s.Sites = append(s.Sites, SiteState{
 			Entry:         a,
 			Policy:        st.policy,

@@ -190,3 +190,47 @@ func TestEngineRestoreErrors(t *testing.T) {
 		t.Fatalf("injector state without injector: %v", err)
 	}
 }
+
+// TestSitesOnlyWhereSomethingAdapted: the dispatcher's hotness check must
+// not create a site per interpreted address, an export carries only sites
+// that differ from a fresh one, and an old envelope that lists untouched
+// sites still restores to the same continuation.
+func TestSitesOnlyWhereSomethingAdapted(t *testing.T) {
+	const budget = 10_000_000
+	solo := build(t, snapLoop, DefaultConfig(), nil)
+	runToHalt(t, solo, budget)
+	// snapLoop is eight instructions and one hot region; before, every
+	// address the dispatcher saw got a site.
+	if len(solo.sites) > 2 {
+		t.Fatalf("%d sites after a one-region program, want translated entries only", len(solo.sites))
+	}
+
+	// A site nothing has adapted yet (translateAt creates one per entry).
+	const fresh = 0x2000
+	cfg := DefaultConfig()
+	cfg.Cancel = cancelOnce()
+	e := build(t, snapLoop, cfg, nil)
+	e.site(fresh)
+	if err := e.Run(budget); !errors.Is(err, ErrCancelled) {
+		t.Fatalf("capture run: %v, want ErrCancelled", err)
+	}
+	st, err := e.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ss := range st.Sites {
+		if reflect.DeepEqual(ss, SiteState{Entry: ss.Entry}) {
+			t.Fatalf("export lists untouched site %#x", ss.Entry)
+		}
+	}
+	// The shape older builds exported: an all-zero entry per known address.
+	st.Sites = append(st.Sites, SiteState{Entry: fresh})
+	re, err := RestoreEngine(e.Plat, DefaultConfig(), st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runToHalt(t, re, budget)
+	if re.CPU().Regs != solo.CPU().Regs || !reflect.DeepEqual(re.Metrics, solo.Metrics) {
+		t.Fatalf("restore from an envelope with untouched sites diverged:\nrestored %+v\nsolo     %+v", re.Metrics, solo.Metrics)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"cms/internal/cms"
 	"cms/internal/guest"
 )
 
@@ -103,5 +104,25 @@ func TestFeatureGates(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSideExitStubTimingRegression: this program's region at 0x7c5 gives a
+// side exit's fix-up source register to a load scheduled just after the
+// exit's branch. vliw.Code.Validate used to time the exit stub in layout
+// order — as if it ran after the whole body — and refuse the region
+// ("reads r19 before it is ready"); the stub runs right after its branch.
+func TestSideExitStubTimingRegression(t *testing.T) {
+	p := MustBuild(339733461078994817, GenConfig{Frags: 16, NoSMC: true, NoIRQ: true,
+		NoMMIO: true, NoFault: true, Outer: 64})
+	ref := cms.DefaultConfig()
+	ref.NoTranslate = true
+	want := RunProgram(p, "interp", ref, nil)
+	got := RunProgram(p, "cms", cms.DefaultConfig(), nil)
+	if d := DiffArch(want, got); d != "" {
+		t.Fatal(d)
+	}
+	if !got.Halted || got.Metrics.Translations == 0 {
+		t.Fatalf("halted=%v translations=%d", got.Halted, got.Metrics.Translations)
 	}
 }

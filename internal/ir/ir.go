@@ -23,8 +23,9 @@
 package ir
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"cms/internal/guest"
 )
@@ -383,12 +384,20 @@ func (r *Region) SrcRanges() []SrcRange {
 // without requiring a lowered region (the translation pipeline captures
 // source bytes before lowering happens on a worker).
 func SrcRangesOf(insns []guest.Insn) []SrcRange {
-	raw := make([]SrcRange, 0, len(insns))
+	return slices.Clone(AppendSrcRanges(make([]SrcRange, 0, len(insns)), insns))
+}
+
+// AppendSrcRanges is SrcRangesOf into a caller's buffer: it appends the
+// coalesced ranges to dst (using its spare capacity as working space) and
+// returns it.
+func AppendSrcRanges(dst []SrcRange, insns []guest.Insn) []SrcRange {
+	base := len(dst)
 	for _, in := range insns {
-		raw = append(raw, SrcRange{Addr: in.Addr, Len: in.Len})
+		dst = append(dst, SrcRange{Addr: in.Addr, Len: in.Len})
 	}
-	sort.Slice(raw, func(i, j int) bool { return raw[i].Addr < raw[j].Addr })
-	var out []SrcRange
+	raw := dst[base:]
+	slices.SortFunc(raw, func(a, b SrcRange) int { return cmp.Compare(a.Addr, b.Addr) })
+	out := raw[:0]
 	for _, sr := range raw {
 		if n := len(out); n > 0 && sr.Addr <= out[n-1].Addr+out[n-1].Len {
 			if end := sr.Addr + sr.Len; end > out[n-1].Addr+out[n-1].Len {
@@ -398,7 +407,7 @@ func SrcRangesOf(insns []guest.Insn) []SrcRange {
 		}
 		out = append(out, sr)
 	}
-	return out
+	return dst[:base+len(out)]
 }
 
 // String renders an instruction for debugging.

@@ -344,17 +344,45 @@ func (c *Code) Validate() error { return c.ValidateWith(TM5800()) }
 // targets in range, register numbers in range, and no-interlock latency (a
 // result may not be consumed earlier than its latency allows, including the
 // same molecule).
+//
+// Latency is timed along the paths control can take, not along the layout:
+// a molecule a branch jumps to runs right after the branching molecule, so it
+// sees the results still in flight at the branch — and none of the results
+// issued by molecules the branch skipped. Exit stubs are the case that
+// matters: they are laid out after the body but run directly after their
+// side exit's branch. (Backward branches are not followed; the translator
+// emits none.)
 func (c *Code) ValidateWith(h HostConfig) error {
-	ready := make([]int, NumHRegs) // molecule index at which reg is readable
-	for i := range ready {
-		ready[i] = 0
+	// ready[r] is the molecule index at which r is readable on the path
+	// that falls into the current molecule.
+	var ready [NumHRegs]int
+	// inflight holds, per forward branch, the results not yet readable in
+	// the molecule after it. Branches rarely leave any, so the list stays in
+	// its stack buffer.
+	type pendingReg struct {
+		target, left int
+		reg          HReg
 	}
-	for mi, mol := range c.Mols {
+	var inflightBuf [16]pendingReg
+	inflight := inflightBuf[:0]
+	var regBuf [4]HReg
+	falls := true // the previous molecule can fall through into this one
+	for mi := range c.Mols {
+		mol := &c.Mols[mi]
+		if !falls {
+			ready = [NumHRegs]int{}
+		}
+		for _, p := range inflight {
+			if p.target == mi && mi+p.left > ready[p.reg] {
+				ready[p.reg] = mi + p.left
+			}
+		}
 		if len(mol.Atoms) > h.Width {
 			return fmt.Errorf("vliw: molecule %d issues %d atoms (width %d)", mi, len(mol.Atoms), h.Width)
 		}
 		var alu, memu, media, br int
-		for ai, a := range mol.Atoms {
+		for ai := range mol.Atoms {
+			a := &mol.Atoms[ai]
 			switch UnitOf(a.Op) {
 			case UnitALU:
 				alu++
@@ -365,7 +393,7 @@ func (c *Code) ValidateWith(h HostConfig) error {
 			case UnitBranch:
 				br++
 			}
-			if err := c.validateAtom(mi, ai, a, ready); err != nil {
+			if err := c.validateAtom(mi, ai, a, &ready); err != nil {
 				return err
 			}
 		}
@@ -373,17 +401,39 @@ func (c *Code) ValidateWith(h HostConfig) error {
 			return fmt.Errorf("vliw: molecule %d exceeds %s unit capacity (alu %d, mem %d, media %d, br %d)", mi, h.Name, alu, memu, media, br)
 		}
 		// Writes become visible after the whole molecule.
-		for _, a := range mol.Atoms {
-			for _, d := range atomDests(a) {
+		for ai := range mol.Atoms {
+			a := &mol.Atoms[ai]
+			for _, d := range AppendDestRegs(regBuf[:0], a) {
 				ready[d] = mi + h.Latency(a.Op)
+			}
+		}
+		falls = true
+		for ai := range mol.Atoms {
+			a := &mol.Atoms[ai]
+			switch a.Op {
+			case AExit, AExitInd:
+				falls = false
+			case ABr, ABrCC, ABrNZ:
+				if a.Op == ABr {
+					falls = false
+				}
+				if int(a.Target) <= mi {
+					continue
+				}
+				for r, at := range ready {
+					if at > mi+1 {
+						inflight = append(inflight, pendingReg{target: int(a.Target), left: at - (mi + 1), reg: HReg(r)})
+					}
+				}
 			}
 		}
 	}
 	return nil
 }
 
-func (c *Code) validateAtom(mi, ai int, a Atom, ready []int) error {
-	for _, s := range atomSources(a) {
+func (c *Code) validateAtom(mi, ai int, a *Atom, ready *[NumHRegs]int) error {
+	var regBuf [4]HReg
+	for _, s := range AppendSourceRegs(regBuf[:0], a) {
 		if int(s) >= NumHRegs {
 			return fmt.Errorf("vliw: molecule %d atom %d reads r%d out of range", mi, ai, s)
 		}
@@ -391,7 +441,7 @@ func (c *Code) validateAtom(mi, ai int, a Atom, ready []int) error {
 			return fmt.Errorf("vliw: molecule %d atom %d (%v) reads r%d before it is ready (at %d)", mi, ai, a.Op, s, ready[s])
 		}
 	}
-	for _, d := range atomDests(a) {
+	for _, d := range AppendDestRegs(regBuf[:0], a) {
 		if int(d) >= NumHRegs {
 			return fmt.Errorf("vliw: molecule %d atom %d writes r%d out of range", mi, ai, d)
 		}
@@ -413,61 +463,65 @@ func (c *Code) validateAtom(mi, ai int, a Atom, ready []int) error {
 	return nil
 }
 
-// atomSources lists the registers an atom reads.
-func atomSources(a Atom) []HReg {
+// AppendSourceRegs appends the registers an atom reads to dst and returns
+// it. No atom reads more than three, so a caller's small stack buffer makes
+// the walk allocation-free — the translator's dependence analysis, Validate
+// and Compile's hazard check all visit every atom.
+func AppendSourceRegs(dst []HReg, a *Atom) []HReg {
 	switch a.Op {
 	case ANop, AMovI, AIn:
-		return nil
+		return dst
 	case AMov:
-		return []HReg{a.Ra}
+		return append(dst, a.Ra)
 	case AAddI, ASubI, AAndI, AOrI, AXorI, AShlI, AShrI, ASarI:
-		return []HReg{a.Ra}
+		return append(dst, a.Ra)
 	case AAddICC, ASubICC, AAndICC, AOrICC, AXorICC, AShlICC, AShrICC, ASarICC:
-		return []HReg{a.Ra, FlagSrc(a)}
+		return append(dst, a.Ra, FlagSrc(*a))
 	case AAdd, ASub, AAnd, AOr, AXor, AShl, AShr, ASar:
-		return []HReg{a.Ra, a.Rb}
+		return append(dst, a.Ra, a.Rb)
 	case AAddCC, ASubCC, AAndCC, AOrCC, AXorCC, AShlCC, AShrCC, ASarCC, AImulCC, AMul64,
 		AAdcCC, ASbbCC:
-		return []HReg{a.Ra, a.Rb, FlagSrc(a)}
+		return append(dst, a.Ra, a.Rb, FlagSrc(*a))
 	case AAdcICC, ASbbICC:
-		return []HReg{a.Ra, FlagSrc(a)}
+		return append(dst, a.Ra, FlagSrc(*a))
 	case AIncCC, ADecCC, ANegCC:
-		return []HReg{a.Ra, FlagSrc(a)}
+		return append(dst, a.Ra, FlagSrc(*a))
 	case ADivU, ADivS:
-		return []HReg{a.Ra, a.Rb, a.Rc}
+		return append(dst, a.Ra, a.Rb, a.Rc)
 	case ASetCC:
-		return []HReg{FlagSrc(a)}
+		return append(dst, FlagSrc(*a))
 	case ALd:
-		return []HReg{a.Ra}
+		return append(dst, a.Ra)
 	case ASt:
-		return []HReg{a.Ra, a.Rb}
+		return append(dst, a.Ra, a.Rb)
 	case AOut:
-		return []HReg{a.Rb}
+		return append(dst, a.Rb)
 	case ABrCC:
-		return []HReg{FlagSrc(a)}
+		return append(dst, FlagSrc(*a))
 	case ABrNZ:
-		return []HReg{a.Ra}
+		return append(dst, a.Ra)
 	case AExitInd:
-		return []HReg{a.Ra}
+		return append(dst, a.Ra)
 	}
-	return nil
+	return dst
 }
 
-// atomDests lists the registers an atom writes.
-func atomDests(a Atom) []HReg {
+// AppendDestRegs appends the registers an atom writes (at most three) to
+// dst and returns it.
+func AppendDestRegs(dst []HReg, a *Atom) []HReg {
 	switch a.Op {
 	case ANop, ASt, AOut, ABr, ABrCC, ABrNZ, AExit, AExitInd, ACommit:
-		return nil
+		return dst
 	case AMul64:
-		return []HReg{a.Rd, a.Rd2, FlagDst(a)}
+		return append(dst, a.Rd, a.Rd2, FlagDst(*a))
 	case ADivU, ADivS: // divides leave guest flags unchanged
-		return []HReg{a.Rd, a.Rd2}
+		return append(dst, a.Rd, a.Rd2)
 	case AAddCC, AAddICC, ASubCC, ASubICC, AAndCC, AAndICC, AOrCC, AOrICC,
 		AXorCC, AXorICC, AShlCC, AShlICC, AShrCC, AShrICC, ASarCC, ASarICC,
 		AIncCC, ADecCC, ANegCC, AImulCC, AAdcCC, AAdcICC, ASbbCC, ASbbICC:
-		return []HReg{a.Rd, FlagDst(a)}
+		return append(dst, a.Rd, FlagDst(*a))
 	default:
-		return []HReg{a.Rd}
+		return append(dst, a.Rd)
 	}
 }
 
@@ -479,10 +533,3 @@ func (c *Code) NumAtoms() int {
 	}
 	return n
 }
-
-// SourceRegs returns the registers an atom reads (exported for the
-// translator's dependence analysis).
-func SourceRegs(a Atom) []HReg { return atomSources(a) }
-
-// DestRegs returns the registers an atom writes.
-func DestRegs(a Atom) []HReg { return atomDests(a) }

@@ -262,11 +262,11 @@ func (cc *CompiledCode) compileMol(mol *Molecule, next, nmols int32) compiledMol
 // never validated.
 func molHazard(mol *Molecule) bool {
 	var written uint64
+	var regBuf [4]HReg
 	for i := range mol.Atoms {
-		a := mol.Atoms[i]
-		srcs := atomSources(a)
-		fs := FlagSrc(a)
-		for _, s := range srcs {
+		a := &mol.Atoms[i]
+		fs := FlagSrc(*a)
+		for _, s := range AppendSourceRegs(regBuf[:0], a) {
 			if written&(1<<s) != 0 {
 				return true
 			}
@@ -277,7 +277,7 @@ func molHazard(mol *Molecule) bool {
 				return true
 			}
 		}
-		for _, d := range atomDests(a) {
+		for _, d := range AppendDestRegs(regBuf[:0], a) {
 			written |= 1 << d
 		}
 	}

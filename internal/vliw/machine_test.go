@@ -482,6 +482,39 @@ func TestValidateRejectsBadCode(t *testing.T) {
 	}
 }
 
+// TestValidateTimesStubsAfterTheirBranch: latency follows control flow, not
+// layout. A stub laid out after the body runs right after its side exit's
+// branch: a load the body issues past that branch — even into the register
+// the stub repairs from — never delays it, while a result still in flight
+// at the branch does.
+func TestValidateTimesStubsAfterTheirBranch(t *testing.T) {
+	const r = RTempBase
+	ld := func(rd HReg) Atom {
+		return Atom{Op: ALd, Rd: rd, Ra: RZero, Imm: 0x100, Size: 4, ProtIdx: NoAliasIdx}
+	}
+	stub := mol(Atom{Op: AMov, Rd: 0, Ra: r}, Atom{Op: AExit, Commit: true})
+	afterBranch := &Code{NumExits: 1, Mols: []Molecule{
+		mol(Atom{Op: ABrNZ, Ra: r + 1, Target: 3}),
+		mol(ld(r)), // reuses r once the side exit is behind
+		exitMol(),
+		stub, // reads r one molecule after the load in layout, but never after it in time
+	}}
+	if err := afterBranch.Validate(); err != nil {
+		t.Errorf("stub timed in layout order: %v", err)
+	}
+	inFlight := &Code{NumExits: 1, Mols: []Molecule{
+		mol(ld(r), Atom{Op: ABrNZ, Ra: r + 1, Target: 5}),
+		mol(Atom{Op: ANop}),
+		mol(Atom{Op: ANop}),
+		mol(Atom{Op: ANop}),
+		exitMol(),
+		stub, // the taken branch lands here the next cycle: r is two short of ready
+	}}
+	if err := inFlight.Validate(); err == nil {
+		t.Error("Validate accepted a stub reading a load still in flight at its branch")
+	}
+}
+
 func TestValidateAcceptsLatencySpacing(t *testing.T) {
 	code := &Code{
 		NumExits: 1,

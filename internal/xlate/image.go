@@ -2,10 +2,9 @@ package xlate
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"cms/internal/guest"
-	"cms/internal/interp"
 	"cms/internal/ir"
 	"cms/internal/vliw"
 )
@@ -46,12 +45,7 @@ func (req *Request) Image() *RequestImage {
 	for i, b := range req.bytes {
 		im.Bytes[i] = append([]byte(nil), b...)
 	}
-	if req.prof != nil {
-		for a := range req.prof.MMIOInsns {
-			im.MMIO = append(im.MMIO, a)
-		}
-		sort.Slice(im.MMIO, func(i, j int) bool { return im.MMIO[i] < im.MMIO[j] })
-	}
+	im.MMIO = req.mmioAddrs()
 	return im
 }
 
@@ -81,10 +75,8 @@ func (im *RequestImage) Reify() (*Request, error) {
 	for i, b := range im.Bytes {
 		req.bytes[i] = append([]byte(nil), b...)
 	}
-	mmio := make(map[uint32]bool, len(im.MMIO))
-	for _, a := range im.MMIO {
-		mmio[a] = true
+	if len(im.MMIO) > 0 {
+		req.setMMIO(func(addr uint32) bool { return slices.Contains(im.MMIO, addr) })
 	}
-	req.prof = &interp.Profile{MMIOInsns: mmio}
 	return req, nil
 }

@@ -40,6 +40,11 @@ func (kh *keyHasher) addrSet(set map[uint32]bool) {
 		addrs = append(addrs, a)
 	}
 	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	kh.addrs(addrs)
+}
+
+// addrs writes a sorted address list, length first.
+func (kh *keyHasher) addrs(addrs []uint32) {
 	kh.u64(uint64(len(addrs)))
 	for _, a := range addrs {
 		kh.u32(a)
@@ -102,11 +107,7 @@ func (req *Request) Key() Key {
 	kh.addrSet(p.NoReorder)
 	kh.addrSet(p.ImmLoad)
 
-	if req.prof != nil {
-		kh.addrSet(req.prof.MMIOInsns)
-	} else {
-		kh.u64(0)
-	}
+	kh.addrs(req.mmioAddrs())
 
 	host := req.host
 	kh.u64(uint64(len(host.Name)))

@@ -4,15 +4,16 @@ import (
 	"fmt"
 
 	"cms/internal/guest"
-	"cms/internal/interp"
 	"cms/internal/ir"
 )
 
 // lowerer turns a guest trace into IR.
 type lowerer struct {
-	r        *ir.Region
-	pol      Policy
-	prof     *interp.Profile
+	r   *ir.Region
+	pol Policy
+	// mmio flags, by trace index, the instructions the interpreter saw
+	// touching MMIO (nil: none).
+	mmio     []bool
 	nextTemp ir.VReg
 }
 
@@ -27,14 +28,11 @@ func (lw *lowerer) emit(i ir.Instr) *ir.Instr {
 	return &lw.r.Code[len(lw.r.Code)-1]
 }
 
-// lower builds the IR for a selected trace.
-func lower(entry uint32, insns []guest.Insn, pol Policy, prof *interp.Profile) (*ir.Region, error) {
-	lw := &lowerer{
-		r:        &ir.Region{Entry: entry, Insns: insns},
-		pol:      pol,
-		prof:     prof,
-		nextTemp: ir.VTemp0,
-	}
+// lower builds the IR for a selected trace into the scratch's region.
+func (sc *scratch) lower(entry uint32, insns []guest.Insn, pol Policy, mmio []bool) (*ir.Region, error) {
+	r := &sc.region
+	*r = ir.Region{Entry: entry, Insns: insns, Code: r.Code[:0], Exits: r.Exits[:0]}
+	lw := &lowerer{r: r, pol: pol, mmio: mmio, nextTemp: ir.VTemp0}
 	for gi, in := range insns {
 		b := ir.New(ir.OpBoundary)
 		b.GIdx = int32(gi)
@@ -76,7 +74,7 @@ func (lw *lowerer) memAttrs(i *ir.Instr, in guest.Insn) {
 	}
 	// Instructions the interpreter observed touching MMIO are born
 	// in-order: the profile spares us one speculation fault each.
-	if lw.prof != nil && lw.prof.MMIOInsns[in.Addr] {
+	if lw.mmio != nil && lw.mmio[i.GIdx] {
 		i.NoReorder = true
 	}
 }

@@ -7,11 +7,11 @@ import "cms/internal/ir"
 // numbering (CSE), and dead code elimination. The region is a straight line
 // with side exits, so forward dataflow needs no joins and backward liveness
 // no fixpoints.
-func optimize(r *ir.Region) {
-	deadFlagElim(r)
-	propagate(r)
-	cse(r)
-	dce(r)
+func (sc *scratch) optimize(r *ir.Region) {
+	sc.deadFlagElim(r)
+	sc.propagate(r)
+	sc.cse(r)
+	sc.dce(r)
 }
 
 // deadFlagElim downgrades flag-computing ops whose flag image is never
@@ -22,20 +22,24 @@ func optimize(r *ir.Region) {
 // everything) are already explicit dataflow through FIn and cannot be
 // miscounted. Downgrading removes FIn uses, so the pass iterates to a
 // fixpoint (carry chains release their producers layer by layer).
-func deadFlagElim(r *ir.Region) {
-	var scratch []ir.VReg
+func (sc *scratch) deadFlagElim(r *ir.Region) {
+	nv := int(maxVReg(r)) + 1
 	for {
-		uses := make(map[ir.VReg]int)
+		sc.ver = zeroed(sc.ver, nv)
+		uses := sc.ver
 		for idx := range r.Code {
-			scratch = r.Code[idx].Uses(scratch[:0])
-			for _, u := range scratch {
+			sc.vregs = r.Code[idx].Uses(sc.vregs[:0])
+			for _, u := range sc.vregs {
 				uses[u]++
 			}
 		}
-		// Exit fixups read their sources in the stub.
+		// Exit fixups read their sources in the stub. (A source the code
+		// never mentions cannot be anyone's flag output.)
 		for _, e := range r.Exits {
 			for _, fx := range e.Fixups {
-				uses[fx.Src]++
+				if int(fx.Src) < nv {
+					uses[fx.Src]++
+				}
 			}
 		}
 		changed := false
@@ -94,16 +98,17 @@ type valInfo struct {
 }
 
 // propagate performs forward copy and constant propagation with folding.
-func propagate(r *ir.Region) {
-	val := make(map[ir.VReg]valInfo)
-	ver := make(map[ir.VReg]int)
-	var scratch []ir.VReg
+func (sc *scratch) propagate(r *ir.Region) {
+	nv := int(maxVReg(r)) + 1
+	sc.val = zeroed(sc.val, nv)
+	sc.ver = zeroed(sc.ver, nv)
+	val, ver := sc.val, sc.ver
 
 	resolve := func(v ir.VReg) ir.VReg {
 		if v == ir.NoVReg {
 			return v
 		}
-		if in, ok := val[v]; ok && in.kind == vCopy && ver[in.src] == in.ver {
+		if in := val[v]; in.kind == vCopy && ver[in.src] == in.ver {
 			return in.src
 		}
 		return v
@@ -112,8 +117,7 @@ func propagate(r *ir.Region) {
 		if v == ir.NoVReg {
 			return 0, false
 		}
-		in, ok := val[v]
-		if ok && in.kind == vConst {
+		if in := val[v]; in.kind == vConst {
 			return in.c, true
 		}
 		return 0, false
@@ -153,10 +157,10 @@ func propagate(r *ir.Region) {
 		}
 
 		// Update lattice for defs.
-		scratch = i.Defs(scratch[:0])
-		for _, d := range scratch {
+		sc.vregs = i.Defs(sc.vregs[:0])
+		for _, d := range sc.vregs {
 			ver[d]++
-			delete(val, d)
+			val[d] = valInfo{}
 		}
 		switch i.Op {
 		case ir.OpConst:
@@ -198,18 +202,23 @@ type cseKey struct {
 	memEpoch int
 }
 
+// cseBinding is the vreg holding a computed value, at a def version.
+type cseBinding struct {
+	v   ir.VReg
+	ver int
+}
+
 // cse performs local value numbering over pure plain ops, constants, and
 // loads (loads are versioned by a memory epoch bumped at every store or
 // barrier).
-func cse(r *ir.Region) {
-	type binding struct {
-		v   ir.VReg
-		ver int
+func (sc *scratch) cse(r *ir.Region) {
+	if sc.cseTab == nil {
+		sc.cseTab = make(map[cseKey]cseBinding)
 	}
-	table := make(map[cseKey]binding)
-	ver := make(map[ir.VReg]int)
+	clear(sc.cseTab)
+	table := sc.cseTab
+	sc.ver = zeroed(sc.ver, int(maxVReg(r))+1)
 	epoch := 0
-	var scratch []ir.VReg
 
 	for idx := range r.Code {
 		i := &r.Code[idx]
@@ -221,18 +230,18 @@ func cse(r *ir.Region) {
 			eligible = true
 		case ir.OpAdd, ir.OpSub, ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpShr, ir.OpSar:
 			eligible = true
-			key.aV, key.bV = ver[i.A], ver[i.B]
+			key.aV, key.bV = sc.verOf(i.A), sc.verOf(i.B)
 		case ir.OpLd8, ir.OpLd32:
 			// Serialized or SMC-check loads are not shareable.
 			if !i.Serialize && !i.SMCCheck {
 				eligible = true
-				key.aV = ver[i.A]
+				key.aV = sc.verOf(i.A)
 				key.memEpoch = epoch
 			}
 		}
 
 		if eligible {
-			if b, ok := table[key]; ok && ver[b.v] == b.ver {
+			if b, ok := table[key]; ok && sc.ver[b.v] == b.ver {
 				// Replace with a copy from the prior value.
 				dst, gidx := i.Dst, i.GIdx
 				*i = ir.New(ir.OpMov)
@@ -240,12 +249,12 @@ func cse(r *ir.Region) {
 			}
 		}
 
-		scratch = i.Defs(scratch[:0])
-		for _, d := range scratch {
-			ver[d]++
+		sc.vregs = i.Defs(sc.vregs[:0])
+		for _, d := range sc.vregs {
+			sc.ver[d]++
 		}
 		if eligible && i.Op != ir.OpMov {
-			table[key] = binding{v: i.Dst, ver: ver[i.Dst]}
+			table[key] = cseBinding{v: i.Dst, ver: sc.ver[i.Dst]}
 		}
 		switch {
 		case i.Op.IsStore(), i.Op == ir.OpIn, i.Op == ir.OpOut:
@@ -260,19 +269,10 @@ func cse(r *ir.Region) {
 // divides are kept even when dead: their faults are architecturally
 // meaningful and nothing at run time would verify the "never faults"
 // speculation a removal would amount to.
-func dce(r *ir.Region) {
-	maxV := ir.VTemp0
-	var scratch []ir.VReg
-	for idx := range r.Code {
-		scratch = r.Code[idx].Defs(scratch[:0])
-		for _, d := range scratch {
-			if d >= maxV {
-				maxV = d + 1
-			}
-		}
-	}
-	live := make([]bool, maxV)
-	keep := make([]bool, len(r.Code))
+func (sc *scratch) dce(r *ir.Region) {
+	sc.live = zeroed(sc.live, int(maxVReg(r))+1)
+	sc.keep = zeroed(sc.keep, len(r.Code))
+	live, keep := sc.live, sc.keep
 
 	markGuestLive := func() {
 		for v := ir.VReg(0); v <= ir.VFlags; v++ {
@@ -294,18 +294,18 @@ func dce(r *ir.Region) {
 			ir.OpAdcCC, ir.OpSbbCC:
 			removable = true
 		}
-		scratch = i.Defs(scratch[:0])
+		sc.vregs = i.Defs(sc.vregs[:0])
 		allDead := true
-		for _, d := range scratch {
+		for _, d := range sc.vregs {
 			if live[d] {
 				allDead = false
 			}
 		}
-		if removable && allDead && len(scratch) > 0 {
+		if removable && allDead && len(sc.vregs) > 0 {
 			continue // dropped
 		}
 		keep[idx] = true
-		for _, d := range scratch {
+		for _, d := range sc.vregs {
 			live[d] = false
 		}
 		if i.Op.IsExit() || (i.Op == ir.OpBoundary && i.Serialize) {
@@ -318,8 +318,8 @@ func dce(r *ir.Region) {
 				}
 			}
 		}
-		scratch = i.Uses(scratch[:0])
-		for _, u := range scratch {
+		sc.vregs = i.Uses(sc.vregs[:0])
+		for _, u := range sc.vregs {
 			live[u] = true
 		}
 	}

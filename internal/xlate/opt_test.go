@@ -36,7 +36,7 @@ func TestDeadFlagElimDowngradesUnusedFlags(t *testing.T) {
 	br.Cond, br.Exit, br.FIn = guest.CondE, exit, 41
 	r.Code = []ir.Instr{add1, add2, br}
 
-	deadFlagElim(r)
+	new(scratch).deadFlagElim(r)
 	if r.Code[0].Op != ir.OpAdd {
 		t.Errorf("add1 not downgraded: %v", r.Code[0].Op)
 	}
@@ -60,7 +60,7 @@ func TestDeadFlagElimRespectsCarryChains(t *testing.T) {
 	st := mk(ir.OpSt32, ir.NoVReg, 5, 21, 0)
 	r.Code = []ir.Instr{add, adc, st, exitI}
 
-	deadFlagElim(r)
+	new(scratch).deadFlagElim(r)
 	if r.Code[0].Op != ir.OpAddCC {
 		t.Errorf("carry producer downgraded: %v", r.Code[0].Op)
 	}
@@ -83,7 +83,7 @@ func TestDeadFlagElimCascades(t *testing.T) {
 	st := mk(ir.OpSt32, ir.NoVReg, 5, 21, 0)
 	r.Code = []ir.Instr{add, dec, st, exitI}
 
-	deadFlagElim(r)
+	new(scratch).deadFlagElim(r)
 	if r.Code[1].Op != ir.OpSub {
 		t.Errorf("dec not downgraded: %v", r.Code[1].Op)
 	}
@@ -103,7 +103,7 @@ func TestDeadFlagElimKeepsFixupSources(t *testing.T) {
 	br.Cond, br.Exit, br.FIn = guest.CondE, exit, 40
 	r.Code = []ir.Instr{add, br}
 
-	deadFlagElim(r)
+	new(scratch).deadFlagElim(r)
 	if r.Code[0].Op != ir.OpAddCC {
 		t.Error("fixup-referenced flag image was considered dead")
 	}
@@ -117,7 +117,7 @@ func TestPropagateConstFold(t *testing.T) {
 		mk(ir.OpAdd, 22, 20, 21, 0),        // fold: 13
 		mk(ir.OpShl, 23, 22, ir.NoVReg, 2), // fold: 52
 	}
-	propagate(r)
+	new(scratch).propagate(r)
 	if r.Code[2].Op != ir.OpConst || r.Code[2].Imm != 13 {
 		t.Errorf("add not folded: %+v", r.Code[2])
 	}
@@ -133,7 +133,7 @@ func TestPropagateCopyAndImmediateAbsorption(t *testing.T) {
 	cst := mk(ir.OpConst, 22, ir.NoVReg, ir.NoVReg, 9)
 	use := mk(ir.OpAdd, 23, 21, 22, 0)
 	r.Code = []ir.Instr{mv, cst, use}
-	propagate(r)
+	new(scratch).propagate(r)
 	if r.Code[2].A != 20 {
 		t.Errorf("copy not propagated: A = v%d", r.Code[2].A)
 	}
@@ -150,7 +150,7 @@ func TestPropagateInvalidatesOnRedefinition(t *testing.T) {
 	ld := mk(ir.OpLd32, 20, 5, ir.NoVReg, 0) // redefines v20
 	use := mk(ir.OpAdd, 22, 21, 20, 0)
 	r.Code = []ir.Instr{c1, mv, ld, use}
-	propagate(r)
+	new(scratch).propagate(r)
 	// v21 is still a copy of the OLD v20, which was redefined: the use of
 	// v21 must NOT be rewritten to v20.
 	if r.Code[3].A != 21 {
@@ -165,7 +165,7 @@ func TestCSEDedupsLoadsUntilStore(t *testing.T) {
 	st := mk(ir.OpSt32, ir.NoVReg, 5, 20, 8)
 	ld3 := mk(ir.OpLd32, 22, 5, ir.NoVReg, 8) // after store: fresh
 	r.Code = []ir.Instr{ld1, ld2, st, ld3}
-	cse(r)
+	new(scratch).cse(r)
 	if r.Code[1].Op != ir.OpMov || r.Code[1].A != 20 {
 		t.Errorf("duplicate load not CSEd: %+v", r.Code[1])
 	}
@@ -181,7 +181,7 @@ func TestDCEKeepsLoadsAndRemovesDeadALU(t *testing.T) {
 	exitI := ir.New(ir.OpExit)
 	exitI.Exit = r.AddExit(ir.Exit{Kind: ir.ExitJump, Insns: 1})
 	r.Code = []ir.Instr{dead, ld, exitI}
-	dce(r)
+	new(scratch).dce(r)
 	if countOps(r.Code, ir.OpAdd) != 0 {
 		t.Error("dead add survived")
 	}
@@ -197,7 +197,7 @@ func TestDCEGuestRegsLiveAtExits(t *testing.T) {
 	exitI := ir.New(ir.OpExit)
 	exitI.Exit = r.AddExit(ir.Exit{Kind: ir.ExitJump, Insns: 1})
 	r.Code = []ir.Instr{c, exitI}
-	dce(r)
+	new(scratch).dce(r)
 	if countOps(r.Code, ir.OpConst) != 1 {
 		t.Error("guest register write removed")
 	}
@@ -217,7 +217,7 @@ func TestRenameMakesGuestDefsSingleAssignment(t *testing.T) {
 	ex.Exit = fin
 	r.Code = []ir.Instr{i1, i2, br, i3, ex}
 
-	rename(r)
+	new(scratch).rename(r)
 
 	// No instruction before the final materialization writes v0 directly.
 	writesV0 := 0
@@ -267,7 +267,7 @@ func TestRenameFullWritersCarryNoFlagIn(t *testing.T) {
 	ex := ir.New(ir.OpExit)
 	ex.Exit = r.AddExit(ir.Exit{Kind: ir.ExitJump, Insns: 1})
 	r.Code = []ir.Instr{add, inc, shlv, shli, ex}
-	rename(r)
+	new(scratch).rename(r)
 
 	var got []ir.Instr
 	for idx := range r.Code {
@@ -303,7 +303,7 @@ func TestRenameSerializeBoundaryMaterializes(t *testing.T) {
 	ex := ir.New(ir.OpExit)
 	ex.Exit = r.AddExit(ir.Exit{Kind: ir.ExitJump, Insns: 2})
 	r.Code = []ir.Instr{add, bnd, in, ex}
-	rename(r)
+	new(scratch).rename(r)
 
 	// Before the serialize boundary there must be materialization copies
 	// into v0 and VFlags.

@@ -3,6 +3,7 @@ package xlate
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"cms/internal/guest"
 	"cms/internal/interp"
@@ -28,14 +29,32 @@ const maxInsnFetch = 16
 // instructions, indirect control flow, unbiased branches, a revisited
 // address (loop closure), or the policy's instruction cap.
 func selectRegion(bus *mem.Bus, prof *interp.Profile, entry uint32, pol Policy) ([]guest.Insn, error) {
-	var insns []guest.Insn
-	visits := make(map[uint32]int)
+	// The trace grows in a stack buffer that covers the default cap and is
+	// handed back exactly sized.
+	var buf [DefaultMaxInsns]guest.Insn
+	insns, err := growTrace(buf[:0], bus, prof, entry, pol)
+	return slices.Clone(insns), err
+}
+
+// growTrace appends the trace from entry to insns (empty on entry).
+func growTrace(insns []guest.Insn, bus *mem.Bus, prof *interp.Profile, entry uint32, pol Policy) ([]guest.Insn, error) {
+	// visits counts an address's occurrences in the trace so far: the key
+	// range is the trace itself, so no table is needed.
+	visits := func(pc uint32) int {
+		n := 0
+		for i := range insns {
+			if insns[i].Addr == pc {
+				n++
+			}
+		}
+		return n
+	}
 	unroll := pol.EffUnroll()
 	pc := entry
 	var buf [maxInsnFetch]byte
 
 	for len(insns) < pol.EffMaxInsns() {
-		if visits[pc] >= unroll {
+		if visits(pc) >= unroll {
 			break // unroll budget spent: exit chains back around
 		}
 		n := bus.FetchBytes(pc, buf[:])
@@ -58,7 +77,6 @@ func selectRegion(bus *mem.Bus, prof *interp.Profile, entry uint32, pol Policy) 
 			}
 			return insns, nil
 		}
-		visits[pc]++
 		insns = append(insns, in)
 
 		switch {
@@ -78,7 +96,7 @@ func selectRegion(bus *mem.Bus, prof *interp.Profile, entry uint32, pol Policy) 
 					}
 				}
 				switch {
-				case bias >= followBias && visits[in.BranchTarget()] < unroll:
+				case bias >= followBias && visits(in.BranchTarget()) < unroll:
 					pc = in.BranchTarget()
 				case bias <= 1-followBias:
 					pc = in.Next()

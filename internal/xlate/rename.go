@@ -27,7 +27,7 @@ import (
 // preserving CF, shifts by zero preserving everything) into ordinary
 // explicit dataflow. The architectural r8 is written only at
 // materialization points; the interrupt window polls the *committed* IF.
-func rename(r *ir.Region) {
+func (sc *scratch) rename(r *ir.Region) {
 	next := maxVReg(r) + 1
 	fresh := func() ir.VReg {
 		v := next
@@ -47,7 +47,21 @@ func rename(r *ir.Region) {
 		return v
 	}
 
-	out := make([]ir.Instr, 0, len(r.Code)+16)
+	out := sc.spare[:0]
+
+	// A side exit repairs at most every renamed register. Reserving that
+	// for all of them up front means the backing array never regrows, so
+	// the Fixups slices handed to the exits below stay valid.
+	sideExits := 0
+	for idx := range r.Code {
+		if r.Code[idx].Op == ir.OpExitIf {
+			sideExits++
+		}
+	}
+	if need := sideExits * len(cur); cap(sc.fixups) < need {
+		sc.fixups = make([]ir.Fixup, 0, need)
+	}
+	sc.fixups = sc.fixups[:0]
 
 	// materialize writes every renamed guest register back to its pinned
 	// home and resets the mapping (used where the full architectural state
@@ -99,13 +113,16 @@ func rename(r *ir.Region) {
 			// Side exit: record fixups (including the flag image); the
 			// stub performs them only when the exit is taken.
 			i.FIn = cur[ir.VFlags]
-			var fx []ir.Fixup
+			first := len(sc.fixups)
 			for g := ir.VReg(0); g <= ir.VFlags; g++ {
 				if cur[g] != g {
-					fx = append(fx, ir.Fixup{Guest: g, Src: cur[g]})
+					sc.fixups = append(sc.fixups, ir.Fixup{Guest: g, Src: cur[g]})
 				}
 			}
-			r.Exits[i.Exit].Fixups = fx
+			r.Exits[i.Exit].Fixups = nil
+			if n := len(sc.fixups); n > first {
+				r.Exits[i.Exit].Fixups = sc.fixups[first:n:n]
+			}
 			out = append(out, i)
 			continue
 		case i.Op == ir.OpExit:
@@ -139,26 +156,19 @@ func rename(r *ir.Region) {
 		}
 		out = append(out, i)
 	}
+	sc.spare = r.Code[:0]
 	r.Code = out
 }
 
-// maxVReg returns the highest virtual register used by the region.
+// maxVReg returns the highest virtual register the region's code mentions
+// (at least VTemp0). It bounds every table the passes index by vreg. Operand
+// slots an op does not use hold NoVReg (ir.New), so the slots can be scanned
+// without asking each op which of them it reads or writes.
 func maxVReg(r *ir.Region) ir.VReg {
-	max := ir.VTemp0
-	var scratch []ir.VReg
+	m := ir.VTemp0
 	for idx := range r.Code {
-		scratch = r.Code[idx].Defs(scratch[:0])
-		for _, v := range scratch {
-			if v > max {
-				max = v
-			}
-		}
-		scratch = r.Code[idx].Uses(scratch[:0])
-		for _, v := range scratch {
-			if v > max {
-				max = v
-			}
-		}
+		i := &r.Code[idx]
+		m = max(m, i.Dst, i.Dst2, i.A, i.B, i.C, i.FIn, i.FOut)
 	}
-	return max
+	return m
 }

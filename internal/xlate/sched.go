@@ -3,7 +3,7 @@ package xlate
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"cms/internal/ir"
 	"cms/internal/vliw"
@@ -15,8 +15,7 @@ var errRegPressure = errors.New("xlate: out of host registers")
 
 // satom is a schedulable atom: the host atom plus its dependence metadata.
 type satom struct {
-	a   vliw.Atom
-	idx int // program order
+	a vliw.Atom
 
 	isLoad, isStore, isExit, isBarrier, isDiv bool
 	smcCheck                                  bool
@@ -25,66 +24,58 @@ type satom struct {
 	// Memory disjointness info (pre-register-allocation view) for the
 	// NoAliasHW mode: base vreg + its def version, displacement, size.
 	memKnown bool
+	size     uint8
 	baseV    ir.VReg
 	baseVer  int
 	disp     uint32
-	size     uint8
-
-	preds []dep
-	succs []int
 
 	// exitIdx is the region exit for exit-ish atoms, else -1.
 	exitIdx int32
-	// fixups are the stub repair copies of a side exit (dst = pinned guest
-	// host register, src = renamed temp's host register).
-	fixups []vliw.Atom
+	// fixOff/fixN locate the stub repair copies of a side exit in the
+	// scratch's fixAtoms (dst = pinned guest host register, src = renamed
+	// temp's host register).
+	fixOff, fixN int32
 }
 
+// dep is one dependence edge as seen from one of its ends: the atom at the
+// other end, and the minimum molecule distance (0 = same molecule
+// permitted). Predecessor and successor edges live in two flat arrays,
+// grouped by atom.
 type dep struct {
-	from  int
-	delta int // minimum molecule distance (0 = same molecule permitted)
+	atom  int32
+	delta int32
+}
+
+// interval is the live range of one temporary, in IR positions.
+type interval struct {
+	v          ir.VReg
+	start, end int
 }
 
 // regalloc maps virtual registers to host registers. Guest state vregs are
 // pinned; temporaries are linear-scan allocated. reserve registers are kept
-// out of the pool (for the self-check accumulator etc.).
-func regalloc(region *ir.Region, reserve int) ([]vliw.HReg, error) {
+// out of the pool (for the self-check accumulator etc.). The assignment
+// table lives in the scratch.
+func (sc *scratch) regalloc(region *ir.Region, reserve int) ([]vliw.HReg, error) {
 	code := region.Code
 	// Vregs are dense small integers; the assignment table and the interval
-	// maps below are slices, not maps, for the emitter's per-operand lookups.
-	maxV := ir.VFlags
-	var scratch []ir.VReg
-	for i := range code {
-		scratch = code[i].Defs(scratch[:0])
-		for _, d := range scratch {
-			if d > maxV {
-				maxV = d
-			}
-		}
-		scratch = code[i].Uses(scratch[:0])
-		for _, u := range scratch {
-			if u > maxV {
-				maxV = u
-			}
-		}
-	}
-	assign := make([]vliw.HReg, maxV+1)
+	// tables below are slices, not maps, for the emitter's per-operand lookups.
+	nv := int(maxVReg(region)) + 1
+	sc.assign = zeroed(sc.assign, nv)
+	assign := sc.assign
 	for v := ir.VReg(0); v <= ir.VFlags; v++ {
 		assign[v] = vliw.HReg(v)
 	}
 	// Temp live intervals (temps are single-def by construction).
-	type interval struct {
-		v          ir.VReg
-		start, end int
-	}
-	starts := make([]int, maxV+1)
-	ends := make([]int, maxV+1)
+	sc.starts = zeroed(sc.starts, nv)
+	sc.ends = zeroed(sc.ends, nv)
+	starts, ends := sc.starts, sc.ends
 	for v := range starts {
 		starts[v] = -1
 	}
 	for i := range code {
-		scratch = code[i].Defs(scratch[:0])
-		for _, d := range scratch {
+		sc.vregs = code[i].Defs(sc.vregs[:0])
+		for _, d := range sc.vregs {
 			if d >= ir.VTemp0 {
 				if starts[d] < 0 {
 					starts[d] = i
@@ -92,8 +83,8 @@ func regalloc(region *ir.Region, reserve int) ([]vliw.HReg, error) {
 				ends[d] = i
 			}
 		}
-		scratch = code[i].Uses(scratch[:0])
-		for _, u := range scratch {
+		sc.vregs = code[i].Uses(sc.vregs[:0])
+		for _, u := range sc.vregs {
 			if u >= ir.VTemp0 {
 				ends[u] = i
 			}
@@ -107,23 +98,29 @@ func regalloc(region *ir.Region, reserve int) ([]vliw.HReg, error) {
 			}
 		}
 	}
-	intervals := make([]interval, 0, max(0, int(maxV)+1-int(ir.VTemp0)))
-	for v := ir.VTemp0; v <= maxV; v++ {
+	intervals := sc.intervals[:0]
+	for v := ir.VTemp0; int(v) < nv; v++ {
 		if starts[v] >= 0 {
 			intervals = append(intervals, interval{v, starts[v], ends[v]})
 		}
 	}
-	sort.SliceStable(intervals, func(i, j int) bool { return intervals[i].start < intervals[j].start })
+	sc.intervals = intervals
+	slices.SortStableFunc(intervals, func(a, b interval) int { return a.start - b.start })
 
-	var pool []vliw.HReg
+	// The free registers form a FIFO (a ring: no more than the register
+	// file is ever queued).
+	var pool [vliw.NumHRegs]vliw.HReg
+	head, free := 0, 0
 	for r := vliw.RTempBase; r <= vliw.RTempLast-vliw.HReg(reserve); r++ {
-		pool = append(pool, r)
+		pool[free] = r
+		free++
 	}
 	type active struct {
 		end int
 		r   vliw.HReg
 	}
-	var act []active
+	var actBuf [vliw.NumHRegs]active
+	act := actBuf[:0]
 	for _, iv := range intervals {
 		// Expire finished intervals; freed registers go to the tail of the
 		// pool so reuse picks the least-recently-freed register. Register
@@ -134,36 +131,42 @@ func regalloc(region *ir.Region, reserve int) ([]vliw.HReg, error) {
 			if a.end >= iv.start {
 				keep = append(keep, a)
 			} else {
-				pool = append(pool, a.r)
+				pool[(head+free)%len(pool)] = a.r
+				free++
 			}
 		}
 		act = keep
-		if len(pool) == 0 {
+		if free == 0 {
 			return nil, errRegPressure
 		}
-		r := pool[0]
-		pool = pool[1:]
+		r := pool[head]
+		head = (head + 1) % len(pool)
+		free--
 		assign[iv.v] = r
 		act = append(act, active{iv.end, r})
 	}
 	return assign, nil
 }
 
-// emitter builds and schedules the atoms of one region.
+// emitter builds and schedules the atoms of one region. Its atoms, edges
+// and scheduling arrays live in the scratch.
 type emitter struct {
+	sc     *scratch
 	region *ir.Region
 	pol    Policy
 	host   vliw.HostConfig
 	assign []vliw.HReg
 
-	atoms []satom
+	aliasNext int    // next free alias entry
+	smcMask   uint64 // entries owned by self-check loads: every store checks them
+	failExit  int32  // self-check fail exit index, or -1
+}
 
-	defVer map[ir.VReg]int // IR-level def versions for disjointness
-
-	aliasNext  int      // next free alias entry
-	aliasPairs [][]int8 // store atom idx -> entries to check
-	smcEntries []int8   // entries owned by self-check loads
-	failExit   int32    // self-check fail exit index, or -1
+// newEmitter starts an emitter on an emptied scratch.
+func newEmitter(sc *scratch, region *ir.Region, pol Policy, host vliw.HostConfig, assign []vliw.HReg) *emitter {
+	sc.atoms = sc.atoms[:0]
+	sc.fixAtoms = sc.fixAtoms[:0]
+	return &emitter{sc: sc, region: region, pol: pol, host: host, assign: assign}
 }
 
 func hregOrZero(assign []vliw.HReg, v ir.VReg) vliw.HReg {
@@ -174,15 +177,16 @@ func hregOrZero(assign []vliw.HReg, v ir.VReg) vliw.HReg {
 }
 
 func (em *emitter) push(sa satom) *satom {
-	sa.idx = len(em.atoms)
 	sa.exitIdx = -1
-	em.atoms = append(em.atoms, sa)
-	return &em.atoms[len(em.atoms)-1]
+	em.sc.atoms = append(em.sc.atoms, sa)
+	return &em.sc.atoms[len(em.sc.atoms)-1]
 }
 
 // codegen lowers IR to satoms (1:1 or close), in program order.
 func (em *emitter) codegen() error {
-	em.defVer = make(map[ir.VReg]int)
+	sc := em.sc
+	// IR-level def versions, for disjointness.
+	sc.ver = zeroed(sc.ver, len(em.assign))
 	hr := func(v ir.VReg) vliw.HReg { return hregOrZero(em.assign, v) }
 	// hrF maps a flag-image vreg; NoVReg means the architectural RFlags.
 	hrF := func(v ir.VReg) vliw.HReg {
@@ -303,7 +307,7 @@ func (em *emitter) codegen() error {
 			}
 			sa := satom{a: a, isLoad: true, smcCheck: i.SMCCheck,
 				noReorder: i.NoReorder || i.Serialize,
-				memKnown:  true, baseV: i.A, baseVer: em.defVer[i.A], disp: i.Imm, size: a.Size}
+				memKnown:  true, baseV: i.A, baseVer: sc.verOf(i.A), disp: i.Imm, size: a.Size}
 			if i.Serialize {
 				sa.isBarrier = true
 			}
@@ -317,7 +321,7 @@ func (em *emitter) codegen() error {
 			}
 			sa := satom{a: a, isStore: true,
 				noReorder: i.NoReorder || i.Serialize,
-				memKnown:  true, baseV: i.A, baseVer: em.defVer[i.A], disp: i.Imm, size: a.Size}
+				memKnown:  true, baseV: i.A, baseVer: sc.verOf(i.A), disp: i.Imm, size: a.Size}
 			if i.Serialize {
 				sa.isBarrier = true
 			}
@@ -338,12 +342,14 @@ func (em *emitter) codegen() error {
 			a.Fs = hrF(i.FIn)
 			sa := em.push(satom{a: a, isExit: true})
 			sa.exitIdx = i.Exit
+			sa.fixOff = int32(len(sc.fixAtoms))
 			for _, fx := range em.region.Exits[i.Exit].Fixups {
-				sa.fixups = append(sa.fixups, vliw.Atom{
+				sc.fixAtoms = append(sc.fixAtoms, vliw.Atom{
 					Op: vliw.AMov, Rd: hr(fx.Guest), Ra: hr(fx.Src),
 					GIdx: gidx, ProtIdx: vliw.NoAliasIdx,
 				})
 			}
+			sa.fixN = int32(len(sc.fixAtoms)) - sa.fixOff
 		case ir.OpExit:
 			a := base
 			a.Op, a.Imm, a.Commit = vliw.AExit, uint32(i.Exit), true
@@ -359,32 +365,37 @@ func (em *emitter) codegen() error {
 			return fmt.Errorf("xlate: codegen cannot handle %v", i.Op)
 		}
 
-		var defs []ir.VReg
-		for _, d := range i.Defs(defs) {
-			em.defVer[d]++
+		sc.vregs = i.Defs(sc.vregs[:0])
+		for _, d := range sc.vregs {
+			sc.ver[d]++
 		}
 	}
 	return nil
 }
 
-// aluAtomOp maps an IR ALU op (plain or CC) to the matching atom op.
+// aluAtoms maps an IR ALU op (plain or CC) to its register and immediate
+// atom forms.
+var aluAtoms = [...]struct{ r, i vliw.AtomOp }{
+	ir.OpAdd: {vliw.AAdd, vliw.AAddI}, ir.OpSub: {vliw.ASub, vliw.ASubI},
+	ir.OpAnd: {vliw.AAnd, vliw.AAndI}, ir.OpOr: {vliw.AOr, vliw.AOrI},
+	ir.OpXor: {vliw.AXor, vliw.AXorI}, ir.OpShl: {vliw.AShl, vliw.AShlI},
+	ir.OpShr: {vliw.AShr, vliw.AShrI}, ir.OpSar: {vliw.ASar, vliw.ASarI},
+	ir.OpAddCC: {vliw.AAddCC, vliw.AAddICC}, ir.OpSubCC: {vliw.ASubCC, vliw.ASubICC},
+	ir.OpAndCC: {vliw.AAndCC, vliw.AAndICC}, ir.OpOrCC: {vliw.AOrCC, vliw.AOrICC},
+	ir.OpXorCC: {vliw.AXorCC, vliw.AXorICC}, ir.OpShlCC: {vliw.AShlCC, vliw.AShlICC},
+	ir.OpShrCC: {vliw.AShrCC, vliw.AShrICC}, ir.OpSarCC: {vliw.ASarCC, vliw.ASarICC},
+}
+
+// aluAtomOp maps an IR ALU op (plain or CC) to the matching atom op; any
+// other op maps to ANop.
 func aluAtomOp(op ir.Op, imm bool) vliw.AtomOp {
-	type pair struct{ r, i vliw.AtomOp }
-	m := map[ir.Op]pair{
-		ir.OpAdd: {vliw.AAdd, vliw.AAddI}, ir.OpSub: {vliw.ASub, vliw.ASubI},
-		ir.OpAnd: {vliw.AAnd, vliw.AAndI}, ir.OpOr: {vliw.AOr, vliw.AOrI},
-		ir.OpXor: {vliw.AXor, vliw.AXorI}, ir.OpShl: {vliw.AShl, vliw.AShlI},
-		ir.OpShr: {vliw.AShr, vliw.AShrI}, ir.OpSar: {vliw.ASar, vliw.ASarI},
-		ir.OpAddCC: {vliw.AAddCC, vliw.AAddICC}, ir.OpSubCC: {vliw.ASubCC, vliw.ASubICC},
-		ir.OpAndCC: {vliw.AAndCC, vliw.AAndICC}, ir.OpOrCC: {vliw.AOrCC, vliw.AOrICC},
-		ir.OpXorCC: {vliw.AXorCC, vliw.AXorICC}, ir.OpShlCC: {vliw.AShlCC, vliw.AShlICC},
-		ir.OpShrCC: {vliw.AShrCC, vliw.AShrICC}, ir.OpSarCC: {vliw.ASarCC, vliw.ASarICC},
+	if int(op) >= len(aluAtoms) {
+		return vliw.ANop
 	}
-	p := m[op]
 	if imm {
-		return p.i
+		return aluAtoms[op].i
 	}
-	return p.r
+	return aluAtoms[op].r
 }
 
 // disjoint reports whether two memory references provably never overlap —
@@ -406,51 +417,73 @@ func disjoint(a, b *satom) bool {
 }
 
 // addDep records a dependence edge from -> to (indices), delta molecules.
+// buildDeps adds every edge into an atom while it visits that atom, so the
+// flat predecessor array comes out grouped by atom, in program order.
 func (em *emitter) addDep(to, from, delta int) {
 	if from < 0 || from == to {
 		return
 	}
-	em.atoms[to].preds = append(em.atoms[to].preds, dep{from: from, delta: delta})
+	em.sc.preds = append(em.sc.preds, dep{atom: int32(from), delta: int32(delta)})
 }
+
+// predsOf returns the predecessor edges of atom j (valid after buildDeps).
+func (sc *scratch) predsOf(j int) []dep {
+	return sc.preds[sc.ints[j]:sc.ints[j+1]]
+}
+
+// exitReads are the registers a commit makes architectural: every exit and
+// barrier reads the pinned guest registers and the flags.
+var exitReads = [...]vliw.HReg{0, 1, 2, 3, 4, 5, 6, 7, vliw.RFlags}
 
 // buildDeps constructs the dependence graph under the active policy. This
 // is where speculation lives: omitted edges are the freedoms §3.2-§3.5
-// grant, and the alias bookkeeping records the runtime checks they require.
+// grant, and the alias check masks record the runtime checks they require.
 func (em *emitter) buildDeps() {
+	sc := em.sc
+	atoms := sc.atoms
+	n := len(atoms)
+	// ints[0..n] are the per-atom offsets into preds; schedule carves its
+	// own arrays from the rest of the slab.
+	sc.ints = zeroed(sc.ints, schedInts(n))
+	predOff := sc.ints[:n+1]
+	sc.preds = sc.preds[:0]
+
 	// Dense per-register tracking: host registers are a small fixed range,
 	// so slices beat maps for the scheduler's inner loops.
-	em.aliasPairs = make([][]int8, len(em.atoms))
 	var lastDef [vliw.NumHRegs]int
-	var lastUses [vliw.NumHRegs][]int
+	lastUses := &sc.lastUses
 	for r := range lastDef {
 		lastDef[r] = -1
+		lastUses[r] = lastUses[r][:0]
 	}
 
 	lastBarrier := -1
 	lastStore := -1
 	lastExit := -1
-	var loadsSinceExit []int
-	var divsSinceExit []int
-	var storesSince []int    // stores since last barrier
-	var uncheckedLoads []int // loads without alias entries that stores must not pass? (kept ordered)
+	loadsSinceExit := sc.loadsSinceExit[:0]
+	divsSinceExit := sc.divsSinceExit[:0]
+	storesSince := sc.storesSince[:0]       // stores since last barrier
+	uncheckedLoads := sc.uncheckedLoads[:0] // loads since last barrier, which stores must not pass
 
-	exitReads := []vliw.HReg{0, 1, 2, 3, 4, 5, 6, 7, vliw.RFlags}
-
-	for j := range em.atoms {
-		sa := &em.atoms[j]
-		srcs := atomSourceRegs(sa.a)
-		dsts := atomDestRegs(sa.a)
+	for j := range atoms {
+		sa := &atoms[j]
+		predOff[j] = len(sc.preds)
+		srcs := vliw.AppendSourceRegs(sc.regs[:0], &sa.a)
 		if sa.isExit || sa.isBarrier {
-			srcs = append(srcs, exitReads...)
-			for _, fx := range sa.fixups {
+			srcs = append(srcs, exitReads[:]...)
+			for _, fx := range sc.fixAtoms[sa.fixOff : sa.fixOff+sa.fixN] {
 				srcs = append(srcs, fx.Ra)
 			}
 		}
+		nsrc := len(srcs)
+		srcs = vliw.AppendDestRegs(srcs, &sa.a)
+		sc.regs = srcs
+		srcs, dsts := srcs[:nsrc], srcs[nsrc:]
 
 		// Register dependences.
 		for _, s := range srcs {
 			if d := lastDef[s]; d >= 0 {
-				em.addDep(j, d, em.host.Latency(em.atoms[d].a.Op))
+				em.addDep(j, d, em.host.Latency(atoms[d].a.Op))
 			}
 		}
 		for _, d := range dsts {
@@ -459,7 +492,7 @@ func (em *emitter) buildDeps() {
 			}
 			for _, u := range lastUses[d] {
 				delta := 0
-				if em.atoms[u].isExit || em.atoms[u].isBarrier {
+				if atoms[u].isExit || atoms[u].isBarrier {
 					delta = 1 // writes must stay strictly after commits
 				}
 				em.addDep(j, u, delta) // WAR
@@ -488,9 +521,7 @@ func (em *emitter) buildDeps() {
 				em.addDep(j, l, 1)
 			}
 			// Self-check entries guard every store (§3.6.3).
-			if len(em.smcEntries) > 0 {
-				em.aliasPairs[j] = append(em.aliasPairs[j], em.smcEntries...)
-			}
+			sa.a.CheckMask |= em.smcMask
 			lastStore = j
 			storesSince = append(storesSince, j)
 
@@ -501,7 +532,7 @@ func (em *emitter) buildDeps() {
 			}
 			// Load versus earlier stores.
 			for _, s := range storesSince {
-				st := &em.atoms[s]
+				st := &atoms[s]
 				switch {
 				case em.pol.NoReorderMem || sa.noReorder || st.noReorder:
 					em.addDep(j, s, 1)
@@ -520,7 +551,7 @@ func (em *emitter) buildDeps() {
 						sa.a.ProtIdx = int8(em.aliasNext)
 						em.aliasNext++
 					}
-					em.aliasPairs[s] = append(em.aliasPairs[s], sa.a.ProtIdx)
+					st.a.CheckMask |= 1 << uint(sa.a.ProtIdx)
 				}
 			}
 			// Stores never pass loads in either policy: a store scheduled
@@ -557,82 +588,102 @@ func (em *emitter) buildDeps() {
 			lastUses[d] = lastUses[d][:0]
 		}
 	}
-
-	// Apply accumulated alias check masks to stores.
-	for s, entries := range em.aliasPairs {
-		for _, e := range entries {
-			em.atoms[s].a.CheckMask |= 1 << uint(e)
-		}
-	}
+	predOff[n] = len(sc.preds)
+	sc.loadsSinceExit, sc.divsSinceExit = loadsSinceExit, divsSinceExit
+	sc.storesSince, sc.uncheckedLoads = storesSince, uncheckedLoads
 }
 
-func atomSourceRegs(a vliw.Atom) []vliw.HReg { return vliw.SourceRegs(a) }
-
-func atomDestRegs(a vliw.Atom) []vliw.HReg { return vliw.DestRegs(a) }
+// schedInts is the size of the integer slab buildDeps and schedule share for
+// n atoms: predecessor offsets (n+1), successor offsets (n+2), and seven
+// per-atom arrays.
+func schedInts(n int) int { return (n + 1) + (n + 2) + 7*n }
 
 // schedule runs list scheduling and lays out the final code, appending exit
 // stubs and resolving branch targets.
 func (em *emitter) schedule() (*vliw.Code, error) {
-	n := len(em.atoms)
-	indeg := make([]int, n)
-	for j := range em.atoms {
-		for _, p := range em.atoms[j].preds {
-			em.atoms[p.from].succs = append(em.atoms[p.from].succs, j)
+	sc := em.sc
+	atoms := sc.atoms
+	n := len(atoms)
+	rest := sc.ints[n+1:]
+	carve := func(k int) []int {
+		s := rest[:k:k]
+		rest = rest[k:]
+		return s
+	}
+	succOff := carve(n + 2)
+	indeg := carve(n)
+	height := carve(n)
+	earliest := carve(n)
+	scheduledAt := carve(n)
+	atomSlot := carve(n)
+	ready := carve(n)[:0]
+	pending := carve(n)[:0]
+
+	// Successor edges, grouped by atom, by counting sort over the
+	// predecessor edges. Counts go in two slots past the atom's own, so that
+	// after the prefix sum succOff[f+1] is where f's edges start, and after
+	// the fill (which advances it) where they end: succOff[f]..succOff[f+1].
+	for j := 0; j < n; j++ {
+		for _, p := range sc.predsOf(j) {
+			succOff[p.atom+2]++
 			indeg[j]++
 		}
 	}
+	for f := 2; f < len(succOff); f++ {
+		succOff[f] += succOff[f-1]
+	}
+	if cap(sc.succs) < len(sc.preds) {
+		sc.succs = make([]dep, len(sc.preds), len(sc.preds)+len(sc.preds)/4)
+	}
+	succs := sc.succs[:len(sc.preds)]
+	sc.succs = succs
+	for j := 0; j < n; j++ {
+		for _, p := range sc.predsOf(j) {
+			succs[succOff[p.atom+1]] = dep{atom: int32(j), delta: p.delta}
+			succOff[p.atom+1]++
+		}
+	}
+	succsOf := func(j int) []dep { return succs[succOff[j]:succOff[j+1]] }
+
 	// Critical-path heights for priority.
-	height := make([]int, n)
 	for j := n - 1; j >= 0; j-- {
 		h := 0
-		for _, s := range em.atoms[j].succs {
-			for _, p := range em.atoms[s].preds {
-				if p.from == j && height[s]+p.delta+1 > h {
-					h = height[s] + p.delta + 1
-				}
+		for _, s := range succsOf(j) {
+			if t := height[s.atom] + int(s.delta) + 1; t > h {
+				h = t
 			}
 		}
 		height[j] = h
 	}
 
-	earliest := make([]int, n)
-	scheduledAt := make([]int, n)
-	atomSlot := make([]int, n)
 	for j := range scheduledAt {
 		scheduledAt[j] = -1
 	}
 	remaining := n
-	ready := make([]int, 0, n)
-	pending := make([]int, 0, n)
 	for j := 0; j < n; j++ {
 		if indeg[j] == 0 {
 			ready = append(ready, j)
 		}
 	}
 
-	var mols []vliw.Molecule
+	molLen := sc.molLen[:0] // atoms issued per cycle
+	cands, taken := sc.cands, sc.taken
 	cycle := 0
 	guard := 0
-	var candBuf, taken []int // reused across cycles
 	for remaining > 0 {
 		guard++
 		if guard > 100*n+1000 {
 			return nil, fmt.Errorf("xlate: scheduler livelock (%d atoms left)", remaining)
 		}
 		// Candidates ready at this cycle, best priority first.
-		candBuf = candsInto(candBuf[:0], ready, earliest, cycle, height)
-		cands := candBuf
-		var molAtoms []vliw.Atom
-		if len(cands) > 0 {
-			molAtoms = make([]vliw.Atom, 0, min(em.host.Width, len(cands)))
-		}
+		cands = candsInto(cands[:0], ready, earliest, cycle, height)
 		var alu, memu, media, br int
 		taken = taken[:0]
 		for _, j := range cands {
-			if len(molAtoms) >= em.host.Width {
+			if len(taken) >= em.host.Width {
 				break
 			}
-			switch vliw.UnitOf(em.atoms[j].a.Op) {
+			switch vliw.UnitOf(atoms[j].a.Op) {
 			case vliw.UnitALU:
 				if alu == em.host.ALUs {
 					continue
@@ -654,26 +705,25 @@ func (em *emitter) schedule() (*vliw.Code, error) {
 				}
 				br++
 			}
-			atomSlot[j] = len(molAtoms)
-			molAtoms = append(molAtoms, em.atoms[j].a)
+			atomSlot[j] = len(taken)
 			taken = append(taken, j)
 		}
 		for _, j := range taken {
 			scheduledAt[j] = cycle
 			remaining--
 			ready = removeFrom(ready, j)
-			for _, s := range em.atoms[j].succs {
-				indeg[s]--
-				if indeg[s] == 0 {
-					pending = append(pending, s)
+			for _, s := range succsOf(j) {
+				indeg[s.atom]--
+				if indeg[s.atom] == 0 {
+					pending = append(pending, int(s.atom))
 				}
 			}
 		}
 		// Recompute earliest for newly released atoms.
 		for _, s := range pending {
 			e := 0
-			for _, p := range em.atoms[s].preds {
-				if t := scheduledAt[p.from] + p.delta; t > e {
+			for _, p := range sc.predsOf(s) {
+				if t := scheduledAt[p.atom] + int(p.delta); t > e {
 					e = t
 				}
 			}
@@ -681,58 +731,104 @@ func (em *emitter) schedule() (*vliw.Code, error) {
 			ready = append(ready, s)
 		}
 		pending = pending[:0]
-		mols = append(mols, vliw.Molecule{Atoms: molAtoms})
+		molLen = append(molLen, len(taken))
 		cycle++
+	}
+	sc.molLen, sc.cands, sc.taken = molLen, cands, taken
+	return em.layout(molLen, scheduledAt, atomSlot)
+}
+
+// layout builds the Code the schedule describes: the body's molecules, then
+// one stub per region exit that is reached by a branch. The Code is the
+// translation's output and outlives the scratch, so it is allocated here,
+// exactly sized — one Molecule array, and one Atom array every molecule
+// slices its own atoms from — and nothing in it points back into the scratch.
+func (em *emitter) layout(molLen, scheduledAt, atomSlot []int) (*vliw.Code, error) {
+	sc := em.sc
+	atoms := sc.atoms
+
+	// Size the stubs: fixup copies first (two ALU slots per molecule), then
+	// the committing exit; the last pair shares the exit's molecule.
+	nMols, nAtoms := len(molLen), len(atoms)
+	sc.stubAt = zeroed(sc.stubAt, len(em.region.Exits))
+	stubAt := sc.stubAt // molecule index + 1 of the exit's stub; 0 = none yet
+	stubAtoms := sc.stubAtoms[:0]
+	for j := range atoms {
+		sa := &atoms[j]
+		if sa.a.Op != vliw.ABrCC && sa.a.Op != vliw.ABrNZ {
+			continue
+		}
+		if sa.exitIdx < 0 || int(sa.exitIdx) >= len(stubAt) {
+			return nil, fmt.Errorf("xlate: branch atom %d has no region exit", j)
+		}
+		if stubAt[sa.exitIdx] != 0 {
+			continue
+		}
+		stubAt[sa.exitIdx] = int32(nMols) + 1
+		stubAtoms = append(stubAtoms, j)
+		nMols += 1 + max(0, int(sa.fixN)-1)/2
+		nAtoms += int(sa.fixN) + 1
+	}
+	sc.stubAtoms = stubAtoms
+
+	code := &vliw.Code{Mols: make([]vliw.Molecule, nMols), NumExits: len(em.region.Exits)}
+	backing := make([]vliw.Atom, nAtoms)
+	// take hands out the next k atoms of the backing array as one molecule
+	// (capacity-limited: an append can never spill into a neighbour).
+	mi := 0
+	take := func(k int) []vliw.Atom {
+		mol := backing[:k:k]
+		backing = backing[k:]
+		if k > 0 {
+			code.Mols[mi].Atoms = mol
+		}
+		mi++
+		return mol
+	}
+	for _, k := range molLen {
+		take(k)
+	}
+	for j := range atoms {
+		code.Mols[scheduledAt[j]].Atoms[atomSlot[j]] = atoms[j].a
 	}
 
 	// Mark actually reordered memory accesses: a load is "reordered" in the
 	// §3.4 hardware sense when some program-earlier memory operation or
 	// exit ended up scheduled no earlier than it.
-	for j := range em.atoms {
-		sa := &em.atoms[j]
+	for j := range atoms {
+		sa := &atoms[j]
 		if !sa.isLoad {
 			continue
 		}
 		for i := 0; i < j; i++ {
-			o := &em.atoms[i]
+			o := &atoms[i]
 			if (o.isLoad || o.isStore || o.isExit || o.isBarrier) && scheduledAt[i] >= scheduledAt[j] {
-				mols[scheduledAt[j]].Atoms[atomSlot[j]].Reordered = true
+				code.Mols[scheduledAt[j]].Atoms[atomSlot[j]].Reordered = true
 				break
 			}
 		}
 	}
 
-	// Exit stubs: one per region exit that is reached by a branch.
-	code := &vliw.Code{Mols: mols, NumExits: len(em.region.Exits)}
-	stubAt := make(map[int32]int32)
-	for j := range em.atoms {
-		sa := &em.atoms[j]
-		if sa.a.Op != vliw.ABrCC && sa.a.Op != vliw.ABrNZ {
-			continue
+	for _, j := range stubAtoms {
+		sa := &atoms[j]
+		commit := em.region.Exits[sa.exitIdx].Kind != ir.ExitSelfCheckFail
+		fixups := sc.fixAtoms[sa.fixOff : sa.fixOff+sa.fixN]
+		for len(fixups) > 2 {
+			copy(take(2), fixups)
+			fixups = fixups[2:]
 		}
-		exitIdx := sa.exitIdx
-		stub, ok := stubAt[exitIdx]
-		if !ok {
-			commit := true
-			if exitIdx >= 0 && em.region.Exits[exitIdx].Kind == ir.ExitSelfCheckFail {
-				commit = false
-			}
-			stub = int32(len(code.Mols))
-			// Fixup copies first (two ALU slots per molecule), then the
-			// committing exit; the last pair shares the exit's molecule.
-			fixups := sa.fixups
-			for len(fixups) > 2 {
-				code.Mols = append(code.Mols, vliw.Molecule{Atoms: fixups[:2]})
-				fixups = fixups[2:]
-			}
-			last := append(append([]vliw.Atom(nil), fixups...), vliw.Atom{
-				Op: vliw.AExit, Imm: uint32(exitIdx), Commit: commit,
-				GIdx: -1, ProtIdx: vliw.NoAliasIdx,
-			})
-			code.Mols = append(code.Mols, vliw.Molecule{Atoms: last})
-			stubAt[exitIdx] = stub
+		last := take(len(fixups) + 1)
+		copy(last, fixups)
+		last[len(fixups)] = vliw.Atom{
+			Op: vliw.AExit, Imm: uint32(sa.exitIdx), Commit: commit,
+			GIdx: -1, ProtIdx: vliw.NoAliasIdx,
 		}
-		code.Mols[scheduledAt[j]].Atoms[atomSlot[j]].Target = stub
+	}
+	for j := range atoms {
+		sa := &atoms[j]
+		if sa.a.Op == vliw.ABrCC || sa.a.Op == vliw.ABrNZ {
+			code.Mols[scheduledAt[j]].Atoms[atomSlot[j]].Target = stubAt[sa.exitIdx] - 1
+		}
 	}
 	return code, nil
 }
@@ -789,7 +885,7 @@ func (em *emitter) emitSelfCheck(words []checkWord, accReg, tReg, xReg vliw.HReg
 			GIdx: -1, ProtIdx: vliw.NoAliasIdx}
 		if em.aliasNext < vliw.AliasTableSize {
 			ld.ProtIdx = int8(em.aliasNext)
-			em.smcEntries = append(em.smcEntries, int8(em.aliasNext))
+			em.smcMask |= 1 << uint(em.aliasNext)
 			em.aliasNext++
 		}
 		em.push(satom{a: ld, isLoad: true, smcCheck: true})

@@ -3,6 +3,7 @@ package xlate
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"cms/internal/guest"
 	"cms/internal/interp"
@@ -161,8 +162,7 @@ func (t *Translation) SourceMatches(bus *mem.Bus) bool {
 // "source changed".
 func (t *Translation) Prologue() (code *vliw.Code, pass, fail int, err error) {
 	if t.prologue == nil {
-		words := checkWordsFor(t)
-		t.prologue, t.prologuePass, t.prologueFail, err = buildCheckCode(words)
+		t.prologue, t.prologuePass, t.prologueFail, err = buildCheckCode(t)
 		if err != nil {
 			return nil, 0, 0, err
 		}
@@ -170,9 +170,10 @@ func (t *Translation) Prologue() (code *vliw.Code, pass, fail int, err error) {
 	return t.prologue, t.prologuePass, t.prologueFail, nil
 }
 
-// checkWordsFor enumerates the 32-bit comparison units over the snapshot.
-func checkWordsFor(t *Translation) []checkWord {
-	var words []checkWord
+// checkWordsFor enumerates the 32-bit comparison units over the snapshot,
+// into the scratch's word buffer.
+func (sc *scratch) checkWordsFor(t *Translation) []checkWord {
+	words := sc.words[:0]
 	for ri, r := range t.SrcRanges {
 		snap, mask := t.Snapshot[ri], t.Mask[ri]
 		for off := uint32(0); off < r.Len; off += 4 {
@@ -187,19 +188,23 @@ func checkWordsFor(t *Translation) []checkWord {
 			words = append(words, checkWord{addr: r.Addr + off, want: want, mask: m})
 		}
 	}
+	sc.words = words
 	return words
 }
 
 // buildCheckCode builds a standalone source-verification code unit (the
-// §3.6.2 prologue): exit pass if every word matches, exit fail otherwise.
-// It commits nothing and touches only temporaries.
-func buildCheckCode(words []checkWord) (code *vliw.Code, pass, fail int, err error) {
-	reg := &ir.Region{}
-	em := &emitter{region: reg, pol: Policy{}, host: vliw.TM5800()}
+// §3.6.2 prologue) over t's snapshot: exit pass if every word matches, exit
+// fail otherwise. It commits nothing and touches only temporaries.
+func buildCheckCode(t *Translation) (code *vliw.Code, pass, fail int, err error) {
+	sc := getScratch()
+	defer sc.release()
+	reg := &sc.region
+	*reg = ir.Region{Code: reg.Code[:0], Exits: reg.Exits[:0]}
+	em := newEmitter(sc, reg, Policy{}, vliw.TM5800(), nil)
 	// Reuse the self-check emitter but without alias entries (a prologue
 	// runs at a boundary; there are no stores to guard against).
 	em.aliasNext = vliw.AliasTableSize // exhaust entries: none allocated
-	em.emitSelfCheck(words, vliw.RTempLast, vliw.RTempLast-1, vliw.RTempLast-2)
+	em.emitSelfCheck(sc.checkWordsFor(t), vliw.RTempLast, vliw.RTempLast-1, vliw.RTempLast-2)
 	fail = int(em.failExit)
 	passExit := reg.AddExit(ir.Exit{Kind: ir.ExitJump})
 	a := vliw.Atom{Op: vliw.AExit, Imm: uint32(passExit), Commit: false, GIdx: -1, ProtIdx: vliw.NoAliasIdx}
@@ -295,9 +300,10 @@ type Request struct {
 	// from the live bus.
 	ranges []ir.SrcRange
 	bytes  [][]byte
-	// prof carries only the MMIO flags of the trace's addresses (the one
-	// profile input lowering reads), copied out of the live profile.
-	prof *interp.Profile
+	// mmio flags, by trace index, the instructions the interpreter's profile
+	// saw touching MMIO — the one profile input lowering reads. Nil when
+	// none did, which is nearly always.
+	mmio []bool
 	host vliw.HostConfig
 	// compile is the translator's CompileBackend, frozen at Prepare time.
 	compile bool
@@ -350,98 +356,118 @@ func (tr *Translator) Prepare(entry uint32, pol Policy) (*Request, error) {
 	for ri, r := range req.ranges {
 		req.bytes[ri] = tr.Bus.ReadRaw(r.Addr, int(r.Len))
 	}
-	if tr.Prof != nil {
-		mmio := make(map[uint32]bool)
-		for _, in := range insns {
-			if tr.Prof.MMIOInsns[in.Addr] {
-				mmio[in.Addr] = true
-			}
-		}
-		req.prof = &interp.Profile{MMIOInsns: mmio}
+	if tr.Prof != nil && len(tr.Prof.MMIOInsns) > 0 {
+		req.setMMIO(func(addr uint32) bool { return tr.Prof.MMIOInsns[addr] })
 	}
 	return req, nil
+}
+
+// setMMIO flags the trace's instructions whose address is in the set.
+func (req *Request) setMMIO(in func(addr uint32) bool) {
+	for gi := range req.insns {
+		if in(req.insns[gi].Addr) {
+			if req.mmio == nil {
+				req.mmio = make([]bool, len(req.insns))
+			}
+			req.mmio[gi] = true
+		}
+	}
+}
+
+// mmioAddrs returns the flagged instructions' addresses, sorted, each once
+// (an unrolled trace visits an address several times).
+func (req *Request) mmioAddrs() []uint32 {
+	var addrs []uint32
+	for gi, flagged := range req.mmio {
+		if flagged {
+			addrs = append(addrs, req.insns[gi].Addr)
+		}
+	}
+	slices.Sort(addrs)
+	return slices.Compact(addrs)
 }
 
 // GuestLen returns the number of guest instructions in the captured trace.
 func (req *Request) GuestLen() int { return len(req.insns) }
 
-// ReadRaw serves source bytes from the capture, satisfying the snapshot
-// reader. Every address the backend snapshots lies inside the captured
-// ranges: retry prefixes only ever cover a subset of the full trace's bytes.
-func (req *Request) ReadRaw(addr uint32, n int) []byte {
-	for ri, r := range req.ranges {
-		if addr >= r.Addr && addr+uint32(n) <= r.Addr+r.Len {
-			out := make([]byte, n)
-			copy(out, req.bytes[ri][addr-r.Addr:])
-			return out
-		}
-	}
-	panic(fmt.Sprintf("xlate: snapshot read [%#x,+%d) outside captured ranges", addr, n))
-}
-
 // Translate runs the backend — lower, optimize, allocate, emit, schedule —
 // purely from the Request's captured inputs. It shrinks the region and
-// retries on register pressure, exactly as the synchronous path does.
+// retries on register pressure, exactly as the synchronous path does. Its
+// working memory is a pooled scratch held for the duration of the call; the
+// Translation it returns owns everything it points to.
 func (req *Request) Translate() (*Translation, error) {
+	sc := getScratch()
+	t, err := req.translate(sc)
+	sc.release()
+	if err != nil {
+		return nil, err
+	}
+	if req.compile {
+		if req.backend == BackendRISC {
+			t.Risc = risc.Lower(t.Code)
+		} else {
+			t.Compiled = vliw.Compile(t.Code)
+		}
+	}
+	t.Req = req
+	return t, nil
+}
+
+// translate produces the scheduled code on the given scratch.
+func (req *Request) translate(sc *scratch) (*Translation, error) {
 	cap := req.Pol.EffMaxInsns()
 	for {
-		t, err := req.translateOnce(cap)
-		if err == nil {
-			if req.compile {
-				if req.backend == BackendRISC {
-					t.Risc = risc.Lower(t.Code)
-				} else {
-					t.Compiled = vliw.Compile(t.Code)
-				}
-			}
-			t.Req = req
-			return t, nil
-		}
+		t, err := req.translateOnce(sc, cap)
 		if errors.Is(err, errRegPressure) && cap > 4 {
 			cap /= 2
 			continue
 		}
-		return nil, err
+		return t, err
 	}
 }
 
-func (req *Request) translateOnce(capInsns int) (*Translation, error) {
+func (req *Request) translateOnce(sc *scratch, capInsns int) (*Translation, error) {
 	p := req.Pol
 	p.MaxInsns = capInsns
-	insns := req.insns
+	insns, mmio, ranges := req.insns, req.mmio, req.ranges
 	if capInsns < len(insns) {
+		// A retry prefix: its source ranges are a subset of the capture's.
 		insns = insns[:capInsns]
+		if mmio != nil {
+			mmio = mmio[:capInsns]
+		}
+		sc.ranges = ir.AppendSrcRanges(sc.ranges[:0], insns)
+		ranges = slices.Clone(sc.ranges)
 	}
-	region, err := lower(req.Entry, insns, p, req.prof)
+	region, err := sc.lower(req.Entry, insns, p, mmio)
 	if err != nil {
 		return nil, err
 	}
-	rename(region)
-	optimize(region)
+	sc.rename(region)
+	sc.optimize(region)
 
 	reserve := 0
 	if p.SelfCheck {
 		reserve = selfCheckReserve
 	}
-	assign, err := regalloc(region, reserve)
+	assign, err := sc.regalloc(region, reserve)
 	if err != nil {
 		return nil, err
 	}
 
+	// The full trace's ranges are the request's own, which is immutable and
+	// outlives the translation anyway (t.Req); only a prefix needs a copy.
 	t := &Translation{
 		Entry:     req.Entry,
 		Insns:     insns,
 		Policy:    p,
-		SrcRanges: region.SrcRanges(),
+		SrcRanges: ranges,
 	}
 	t.snapshot(req, p)
 
-	em := &emitter{region: region, pol: p, host: req.host, assign: assign}
-	// Most IR ops lower 1:1 (plus exit stubs); presizing skips the append
-	// regrowth that otherwise dominates the emitter's allocations.
-	em.atoms = make([]satom, 0, len(region.Code)+2*len(region.Exits)+8)
+	em := newEmitter(sc, region, p, req.host, assign)
 	if p.SelfCheck {
-		em.emitSelfCheck(checkWordsFor(t), vliw.RTempLast, vliw.RTempLast-1, vliw.RTempLast-2)
+		em.emitSelfCheck(sc.checkWordsFor(t), vliw.RTempLast, vliw.RTempLast-1, vliw.RTempLast-2)
 	}
 	if err := em.codegen(); err != nil {
 		return nil, err
@@ -455,27 +481,53 @@ func (req *Request) translateOnce(capInsns int) (*Translation, error) {
 		return nil, fmt.Errorf("xlate: generated invalid code for %#x: %w", req.Entry, verr)
 	}
 	t.Code = code
-	t.Exits = region.Exits
+	t.Exits = cloneExits(region.Exits)
 	return t, nil
 }
 
-// rawReader is the source-byte access snapshot needs: the live bus on the
-// synchronous path, a Request's capture on the pipeline path.
-type rawReader interface {
-	ReadRaw(addr uint32, n int) []byte
+// cloneExits copies the region's exits out of the scratch: one exit array,
+// and one array all their fix-ups are sliced from.
+func cloneExits(exits []ir.Exit) []ir.Exit {
+	out := slices.Clone(exits)
+	nfix := 0
+	for _, e := range exits {
+		nfix += len(e.Fixups)
+	}
+	if nfix == 0 {
+		return out
+	}
+	fixups := make([]ir.Fixup, 0, nfix)
+	for i := range out {
+		if n := len(out[i].Fixups); n > 0 {
+			fixups = append(fixups, out[i].Fixups...)
+			out[i].Fixups = fixups[len(fixups)-n : len(fixups) : len(fixups)]
+		}
+	}
+	return out
 }
 
-// snapshot captures the source bytes and builds the stylized-immediate mask.
-func (t *Translation) snapshot(src rawReader, pol Policy) {
-	t.Snapshot = make([][]byte, len(t.SrcRanges))
-	t.Mask = make([][]byte, len(t.SrcRanges))
+// snapshot copies the source bytes of the translation's ranges out of the
+// request's capture and builds the stylized-immediate mask. Every range's
+// snapshot and mask is a slice of one array. (Every translated range lies
+// inside one captured range: a retry prefix only ever covers a subset of
+// the full trace's bytes.)
+func (t *Translation) snapshot(req *Request, pol Policy) {
+	n, total := len(t.SrcRanges), 0
+	for _, r := range t.SrcRanges {
+		total += int(r.Len)
+	}
+	index := make([][]byte, 2*n)
+	t.Snapshot, t.Mask = index[:n:n], index[n:]
+	buf := make([]byte, 2*total)
 	for ri, r := range t.SrcRanges {
-		t.Snapshot[ri] = src.ReadRaw(r.Addr, int(r.Len))
-		m := make([]byte, r.Len)
-		for i := range m {
-			m[i] = 0xFF
+		k := int(r.Len)
+		snap, mask := buf[:k:k], buf[k:2*k:2*k]
+		buf = buf[2*k:]
+		req.copyRaw(snap, r.Addr)
+		for i := range mask {
+			mask[i] = 0xFF
 		}
-		t.Mask[ri] = m
+		t.Snapshot[ri], t.Mask[ri] = snap, mask
 	}
 	if len(pol.ImmLoad) == 0 {
 		return
@@ -488,6 +540,17 @@ func (t *Translation) snapshot(src rawReader, pol Policy) {
 			t.maskByte(in.Addr + in.ImmOff + b)
 		}
 	}
+}
+
+// copyRaw fills dst with the captured source bytes at addr.
+func (req *Request) copyRaw(dst []byte, addr uint32) {
+	for ri, r := range req.ranges {
+		if addr >= r.Addr && addr+uint32(len(dst)) <= r.Addr+r.Len {
+			copy(dst, req.bytes[ri][addr-r.Addr:])
+			return
+		}
+	}
+	panic(fmt.Sprintf("xlate: snapshot read [%#x,+%d) outside captured ranges", addr, len(dst)))
 }
 
 func (t *Translation) maskByte(addr uint32) {

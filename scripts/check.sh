@@ -18,19 +18,15 @@ fi
 go vet ./...
 go test -race ./...
 
-# The differential backend test is the compiled backend's correctness
-# contract (identical state and Metrics on every workload under both
-# backends); run it by name so the gate fails loudly if it is ever renamed
-# away or skipped.
-go test -race -run 'TestBackendDifferential' -count=1 ./internal/bench/
-
-# The serving subsystem's correctness contracts ran once already, under
-# -race, in the full suite above: the farm differentials (solo and in-farm
-# runs byte-identical over the shared store, including mixed vliw/risc
-# farms), the sharded-store torture test, and the fault-containment chaos
-# capstone. Running them again by name bought nothing; what the by-name
-# lines guarded against is a contract being renamed away or dropped, and a
-# -list check catches that without executing anything.
+# The contracts below ran once already, under -race, in the full suite
+# above: the compiled backend's differential (identical state and Metrics on
+# every workload under both backends), the farm differentials (solo and
+# in-farm runs byte-identical over the shared store, including mixed
+# vliw/risc farms), the sharded-store torture test, the fault-containment
+# chaos capstone, and the translator's three (below). Running them again by
+# name bought nothing; what the by-name lines guarded against is a contract
+# being renamed away or dropped, and a -list check catches that without
+# executing anything.
 require_tests() {
 	pkg=$1
 	shift
@@ -46,6 +42,15 @@ require_tests ./internal/farm/ TestFarmDifferential TestFarmDifferentialPipeline
 	TestFarmMixedBackendDifferential TestChaosServing TestRecycledVMDifferential \
 	TestRecycledVMCanary
 require_tests ./internal/tcache/ TestSharedStoreTorture
+require_tests ./internal/bench/ TestBackendDifferential
+# The translator's working memory is pooled across goroutines. What licenses
+# that: the emitted code of the corpus is pinned to a digest, translating
+# beside other goroutines and on a junk-filled scratch changes nothing (the
+# full suite above ran this one under -race), and a translation allocates
+# its output only (skipped under -race, where sync.Pool drops at random; the
+# coverage run of internal/xlate below executes it).
+require_tests ./internal/xlate/ TestTranslatorOutputDigest TestScratchPoolSafety \
+	TestTranslateAllocCeiling
 require_tests ./internal/mem/ FuzzBusResetComplete
 
 # Tenant isolation is the one contract that IS run again by name: runners
@@ -88,7 +93,13 @@ go test -run '^$' -fuzz FuzzRiscLowerRoundtrip -fuzztime 5s ./internal/risc/
 # measured when the gate was introduced (cms 82.0%, xlate 84.5%): new code
 # in either package must bring tests along.
 cover_gate() {
-	pct=$(go test -cover -count=1 "$1" | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p')
+	# This is also the gate's only run without -race, where tests that
+	# count allocations are not skipped: a failing test fails the gate.
+	if ! out=$(go test -cover -count=1 "$1"); then
+		printf '%s\n' "$out" >&2
+		exit 1
+	fi
+	pct=$(printf '%s\n' "$out" | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p')
 	if [ -z "$pct" ]; then
 		echo "check.sh: no coverage figure for $1" >&2
 		exit 1
