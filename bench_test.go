@@ -9,7 +9,6 @@
 package cms_test
 
 import (
-	"runtime"
 	"testing"
 
 	"cms"
@@ -146,33 +145,6 @@ func BenchmarkFlow(b *testing.B) {
 		texecShare = 100 * float64(r.Metrics.GuestTexec) / float64(r.Metrics.GuestTotal())
 	}
 	b.ReportMetric(texecShare, "texec%")
-}
-
-// BenchmarkEngineRun measures wall-clock time for one full run of each hot
-// workload kernel — the simulator-speed trajectory metric recorded in the
-// committed BENCH_*.json files (see cmsbench -json). The pipelined variants
-// run the translator on every host core; simulated Metrics stay identical,
-// only ns/op moves.
-func BenchmarkEngineRun(b *testing.B) {
-	for _, name := range bench.PerfWorkloads {
-		name := name
-		w, err := workload.ByName(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				bench.MustRun(w, engine.DefaultConfig())
-			}
-		})
-		b.Run(name+"-pipelined", func(b *testing.B) {
-			cfg := engine.DefaultConfig()
-			cfg.PipelineWorkers = runtime.NumCPU()
-			for i := 0; i < b.N; i++ {
-				bench.MustRun(w, cfg)
-			}
-		})
-	}
 }
 
 // BenchmarkEngineThroughput measures raw simulation speed (guest

@@ -121,6 +121,9 @@ const (
 	codeDraining    = "draining"
 	codeBreakerOpen = "breaker_open"
 	codeNotFound    = "not_found"
+	// codeBodyTooLarge: the request body exceeded the endpoint's cap
+	// (maxJobBody, maxSnapshotBody); nothing was admitted.
+	codeBodyTooLarge = "body_too_large"
 	// codeNotCheckpointable: the job reached a terminal state before the
 	// checkpoint request landed (or does not exist as a preemptible job).
 	codeNotCheckpointable = "not_checkpointable"
@@ -134,10 +137,25 @@ func writeError(w http.ResponseWriter, status int, code, msg string) {
 	writeJSON(w, status, map[string]string{"code": code, "error": msg})
 }
 
+// writeBodyError reports a request body that could not be read or decoded:
+// 413 when it ran into the endpoint's http.MaxBytesReader cap, 400 otherwise.
+func writeBodyError(w http.ResponseWriter, what string, err error) {
+	status, code := http.StatusBadRequest, codeBadJSON
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status, code = http.StatusRequestEntityTooLarge, codeBodyTooLarge
+	}
+	writeError(w, status, code, what+": "+err.Error())
+}
+
+// maxJobBody bounds the JSON bodies of /v1/jobs and /v1/migrate. A job spec
+// is at most a g86 source program; the largest in the repo is a few KiB.
+const maxJobBody = 1 << 20
+
 func (s *server) submitJob(w http.ResponseWriter, r *http.Request) {
 	var spec farm.JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadJSON, "bad JSON: "+err.Error())
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobBody)).Decode(&spec); err != nil {
+		writeBodyError(w, "bad JSON", err)
 		return
 	}
 	v, err := s.farm.Submit(spec)
@@ -231,7 +249,7 @@ func (s *server) restoreJob(w http.ResponseWriter, r *http.Request) {
 	}
 	blob, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSnapshotBody))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, codeBadJSON, "reading snapshot: "+err.Error())
+		writeBodyError(w, "reading snapshot", err)
 		return
 	}
 	v, err := s.farm.SubmitRestore(blob, spec)
@@ -247,8 +265,8 @@ func (s *server) migrateJob(w http.ResponseWriter, r *http.Request) {
 		Job    string `json:"job"`
 		Target string `json:"target"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadJSON, "bad JSON: "+err.Error())
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobBody)).Decode(&req); err != nil {
+		writeBodyError(w, "bad JSON", err)
 		return
 	}
 	if req.Job == "" || req.Target == "" {
@@ -319,6 +337,13 @@ func (s *server) metrics(w http.ResponseWriter, r *http.Request) {
 	farm.WriteMetrics(w, s.farm)
 }
 
+// Server-side connection limits; fixed, like the body caps.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 2 * time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	addr := flag.String("addr", ":8086", "listen address")
 	vms := flag.Int("vms", 4, "concurrent guest VMs")
@@ -341,7 +366,17 @@ func main() {
 		IncidentDir:   *incidentDir,
 	})
 
-	srv := &http.Server{Addr: *addr, Handler: (&server{farm: f}).routes()}
+	srv := &http.Server{
+		Addr:    *addr,
+		Handler: (&server{farm: f}).routes(),
+		// A client may not hold a connection open by trickling its request:
+		// headers within readHeaderTimeout, the whole request (a
+		// maxSnapshotBody upload included) within readTimeout. No write
+		// timeout: /v1/migrate answers only after the target has restored.
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)

@@ -61,7 +61,9 @@ func TestServeSmoke(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %d", resp.StatusCode)
 	}
-	if v.ID == "" || v.Status != farm.StatusQueued {
+	// The view is taken after the job is on the queue: an idle runner may
+	// already have picked it up.
+	if v.ID == "" || (v.Status != farm.StatusQueued && v.Status != farm.StatusRunning) {
 		t.Fatalf("submit view = %+v", v)
 	}
 
@@ -197,16 +199,15 @@ func jsonString(s string) string {
 func TestErrorCodes(t *testing.T) {
 	slow := strings.Replace(smokeSource, "20000", "5000000", 1)
 
-	healthy := func(t *testing.T) *httptest.Server {
-		ts, _ := newTestServer(t, farm.Config{MaxVMs: 1})
-		return ts
+	healthy := func(t *testing.T) (*httptest.Server, *farm.Farm) {
+		return newTestServer(t, farm.Config{MaxVMs: 1})
 	}
-	drained := func(t *testing.T) *httptest.Server {
+	drained := func(t *testing.T) (*httptest.Server, *farm.Farm) {
 		ts, f := newTestServer(t, farm.Config{MaxVMs: 1})
 		f.Drain()
-		return ts
+		return ts, f
 	}
-	congested := func(t *testing.T) *httptest.Server {
+	congested := func(t *testing.T) (*httptest.Server, *farm.Farm) {
 		// One slot, queue depth 1: submit slow jobs until one is refused, so
 		// the queue is provably full — and stays full, because the runner is
 		// grinding on a multi-second job — when the table's POST arrives.
@@ -230,9 +231,9 @@ func TestErrorCodes(t *testing.T) {
 				t.Fatalf("could not congest the farm: submit %d = %v", i, err)
 			}
 		}
-		return ts
+		return ts, f
 	}
-	broken := func(t *testing.T) *httptest.Server {
+	broken := func(t *testing.T) (*httptest.Server, *farm.Farm) {
 		// A full window of failures opens the circuit breaker; the default
 		// probe period (8) keeps the table's single request shed.
 		ts, f := newTestServer(t, farm.Config{MaxVMs: 1, BreakerWindow: 2})
@@ -245,12 +246,15 @@ func TestErrorCodes(t *testing.T) {
 		if !f.Stats().BreakerOpen {
 			t.Fatal("breaker did not open")
 		}
-		return ts
+		return ts, f
 	}
+	// A syntactically fine spec whose source runs past maxJobBody: the cap
+	// must cut the read off, not the JSON decoder's patience.
+	oversized := `{"source":"` + strings.Repeat("nop\\n", maxJobBody/4) + `hlt"}`
 
 	cases := []struct {
 		name       string
-		setup      func(*testing.T) *httptest.Server
+		setup      func(*testing.T) (*httptest.Server, *farm.Farm)
 		method     string
 		path       string
 		body       string
@@ -262,6 +266,8 @@ func TestErrorCodes(t *testing.T) {
 		{"empty spec", healthy, "POST", "/v1/jobs", `{}`, http.StatusBadRequest, "bad_spec", false},
 		{"unknown workload", healthy, "POST", "/v1/jobs", `{"workload":"nope"}`, http.StatusBadRequest, "bad_spec", false},
 		{"workload and source", healthy, "POST", "/v1/jobs", `{"workload":"eqntott","source":"hlt"}`, http.StatusBadRequest, "bad_spec", false},
+		{"oversized job", healthy, "POST", "/v1/jobs", oversized, http.StatusRequestEntityTooLarge, "body_too_large", false},
+		{"oversized migrate", healthy, "POST", "/v1/migrate", oversized, http.StatusRequestEntityTooLarge, "body_too_large", false},
 		{"missing job", healthy, "GET", "/v1/jobs/job-999999", "", http.StatusNotFound, "not_found", false},
 		{"queue full", congested, "POST", "/v1/jobs", `{"workload":"eqntott"}`, http.StatusTooManyRequests, "queue_full", true},
 		{"draining submit", drained, "POST", "/v1/jobs", `{"workload":"eqntott"}`, http.StatusServiceUnavailable, "draining", true},
@@ -271,7 +277,8 @@ func TestErrorCodes(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ts := tc.setup(t)
+			ts, f := tc.setup(t)
+			submitted := f.Stats().Submitted
 			var resp *http.Response
 			var err error
 			switch tc.method {
@@ -302,6 +309,9 @@ func TestErrorCodes(t *testing.T) {
 			}
 			if got := resp.Header.Get("Retry-After") != ""; got != tc.wantRetry {
 				t.Errorf("Retry-After present = %v, want %v", got, tc.wantRetry)
+			}
+			if got := f.Stats().Submitted; got != submitted {
+				t.Errorf("refused request moved the submitted counter %d -> %d", submitted, got)
 			}
 		})
 	}

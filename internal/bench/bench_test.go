@@ -2,6 +2,10 @@ package bench
 
 import (
 	"bytes"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -262,5 +266,36 @@ func TestRunsAreDeterministic(t *testing.T) {
 	b := MustRun(w, cms.DefaultConfig())
 	if a.Mols() != b.Mols() || a.Metrics != b.Metrics {
 		t.Errorf("nondeterministic run: %d vs %d molecules", a.Mols(), b.Mols())
+	}
+}
+
+// TestBenchIsClockFree holds "simulated numbers only" as structure: no
+// non-test file of this package may import a host clock or the runtime, so
+// every number cmsbench prints is a function of cms.Metrics and two runs
+// print the same bytes. Host-time measurement lives in perf/ (cmsperf) and
+// in this package's testing.B benchmarks.
+func TestBenchIsClockFree(t *testing.T) {
+	notTest := func(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", notTest, parser.ImportsOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := 0
+	for _, pkg := range pkgs {
+		for name, f := range pkg.Files {
+			files++
+			for _, imp := range f.Imports {
+				path, err := strconv.Unquote(imp.Path.Value)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if path == "time" || path == "runtime" || strings.HasPrefix(path, "runtime/") {
+					t.Errorf("%s imports %q: internal/bench reports simulated numbers only", name, path)
+				}
+			}
+		}
+	}
+	if files == 0 {
+		t.Fatal("parsed no source files")
 	}
 }

@@ -3,11 +3,51 @@ package bench
 import (
 	"testing"
 
+	"cms/internal/asm"
 	"cms/internal/cms"
 	"cms/internal/dev"
 	"cms/internal/fuzzer"
+	"cms/internal/risc"
 	"cms/internal/workload"
 )
+
+// carryChain keeps ADC/SBB flag images live: each ADC/SBB is set up so its
+// carry out equals its carry in (~x + x + c, x - x - c), and the next ADC
+// folds that carry into edx. No suite workload uses ADC or SBB, so without
+// it the suite would sail past a materializer that feeds them the wrong
+// carry (risc.TestWrongCarry); TestBackendDifferentialCatchesWrongCarry
+// holds that this kernel does not.
+var carryChain = workload.Workload{
+	Name: "carry_chain",
+	Kind: workload.App,
+	Build: func() *workload.Image {
+		p, err := asm.Assemble(`
+.org 0x1000
+	mov ecx, 4000
+	mov edi, 0x9e3779b9
+loop:
+	mov ebx, eax
+	xor ebx, 0xffffffff
+	add esi, edi
+	adc ebx, eax
+	adc edx, 0
+	add eax, esi
+	sbb ebp, ebp
+	adc edx, 0
+	dec ecx
+	jne loop
+	hlt
+`)
+		if err != nil {
+			panic(err)
+		}
+		return &workload.Image{Org: p.Org, Data: p.Image, Entry: p.Entry(), RAM: 1 << 21, Budget: 1_000_000}
+	},
+}
+
+// kernels is what the backend differential runs: the whole suite plus the
+// carry chain.
+func kernels() []workload.Workload { return append(workload.All(), carryChain) }
 
 // backendRun executes one workload to completion under cfg and captures the
 // outcome with the differential oracle's shared State snapshot, so this
@@ -29,37 +69,47 @@ func backendRun(t *testing.T, w workload.Workload, name string, cfg cms.Config) 
 	return st
 }
 
-// diffBackends runs w under cfg with the compiled backend off and on, and
-// asserts the two runs are observationally identical: same final CPU, same
-// guest memory and device output, same simulated Metrics, same cache
-// statistics. This is the deopt contract of the closure-threaded backend —
-// only wall clock may move.
-func diffBackends(t *testing.T, w workload.Workload, cfg cms.Config) {
+// diffBackends runs w under cfg three ways — installed translations executed
+// interpretively, through the vliw closures, and through the risc register
+// IR — and returns how the runs differ, "" when they are observationally
+// identical: same final CPU, same guest memory and device output, same
+// simulated Metrics, same cache statistics. This is the deopt contract of
+// both compiled backends — only wall clock may move — held on the real
+// workload suite (the oracle holds it seed by seed on generated programs).
+func diffBackends(t *testing.T, w workload.Workload, cfg cms.Config) string {
 	t.Helper()
 	ci := cfg
 	ci.EnableCompiledBackend = false
 	cc := cfg
 	cc.EnableCompiledBackend = true
+	cr := cc
+	cr.Backend = "risc"
 
 	si := backendRun(t, w, "interp-backend", ci)
-	sc := backendRun(t, w, "compiled-backend", cc)
-
-	if d := fuzzer.DiffArch(si, sc); d != "" {
-		t.Errorf("%s: architectural state diverged: %s", w.Name, d)
+	for _, s := range []*fuzzer.State{
+		backendRun(t, w, "compiled-backend", cc),
+		backendRun(t, w, "risc-backend", cr),
+	} {
+		if d := fuzzer.DiffArch(si, s); d != "" {
+			return "architectural state diverged: " + d
+		}
+		if d := fuzzer.DiffMetrics(si, s); d != "" {
+			return d
+		}
 	}
-	if d := fuzzer.DiffMetrics(si, sc); d != "" {
-		t.Errorf("%s: %s", w.Name, d)
-	}
+	return ""
 }
 
-// TestBackendDifferential proves the compiled and interpretive backends are
-// byte-for-byte equivalent on every workload kernel — including the SMC and
-// adaptive-retranslation workloads — under the default (synchronous)
+// TestBackendDifferential proves the interpretive, vliw and risc executors
+// are byte-for-byte equivalent on every workload kernel — including the SMC
+// and adaptive-retranslation workloads — under the default (synchronous)
 // configuration.
 func TestBackendDifferential(t *testing.T) {
-	for _, w := range workload.All() {
+	for _, w := range kernels() {
 		t.Run(w.Name, func(t *testing.T) {
-			diffBackends(t, w, cms.DefaultConfig())
+			if d := diffBackends(t, w, cms.DefaultConfig()); d != "" {
+				t.Error(d)
+			}
 		})
 	}
 }
@@ -70,9 +120,26 @@ func TestBackendDifferential(t *testing.T) {
 func TestBackendDifferentialPipelined(t *testing.T) {
 	cfg := cms.DefaultConfig()
 	cfg.PipelineWorkers = 2
-	for _, w := range workload.All() {
+	for _, w := range kernels() {
 		t.Run(w.Name, func(t *testing.T) {
-			diffBackends(t, w, cfg)
+			if d := diffBackends(t, w, cfg); d != "" {
+				t.Error(d)
+			}
 		})
+	}
+}
+
+// TestBackendDifferentialCatchesWrongCarry is the mutation test for the risc
+// leg: with the lazy-flag materializer feeding ADC/SBB the wrong carry, the
+// differential must report a divergence, sync and pipelined.
+func TestBackendDifferentialCatchesWrongCarry(t *testing.T) {
+	risc.TestWrongCarry = true
+	defer func() { risc.TestWrongCarry = false }()
+	piped := cms.DefaultConfig()
+	piped.PipelineWorkers = 2
+	for _, cfg := range []cms.Config{cms.DefaultConfig(), piped} {
+		if diffBackends(t, carryChain, cfg) == "" {
+			t.Errorf("workers=%d: wrong-carry materializer went unnoticed", cfg.PipelineWorkers)
+		}
 	}
 }

@@ -242,60 +242,56 @@ func (e *Engine) hot(eip uint32) bool {
 	return e.Interp.Prof.Heads[eip] >= e.Cfg.HotThreshold
 }
 
-// translateAt produces and installs a translation for eip, trying the
-// translation group first (§3.6.5). It returns nil if the address is
-// untranslatable.
-func (e *Engine) translateAt(eip uint32) *tcache.Entry {
+// A translation reaches the cache in three steps, shared by the synchronous
+// path (translateAt: all three inline on the engine thread), the pipeline
+// (submitTranslation prepares, a worker produces, installPending installs at
+// the due time) and snapshot restore (produce only: the charges are already
+// inside the restored Metrics).
+
+// prepare resolves a hot address to one of: an entry, when the translation
+// group (§3.6.5) holds a version matching the live bytes and it was
+// reinstalled on the spot; a frozen request under the site's current policy;
+// or neither, when the address is untranslatable (the site goes interpOnly)
+// or region capture failed (e.err is set).
+func (e *Engine) prepare(eip uint32) (*tcache.Entry, *xlate.Request) {
 	s := e.site(eip)
 	if e.Cfg.EnableGroups && s.useGroups {
 		if t := e.Cache.GroupMatch(eip, e.Plat.Bus); t != nil {
 			e.Metrics.GroupReuses++
 			e.trace(EvGroupReuse, eip, "")
-			ent := e.Cache.Install(t)
-			ent.SelfReval = s.wantSelfReval && e.Cfg.EnableSelfReval
-			e.protect(t)
-			return ent
+			return e.place(s, t), nil
 		}
 	}
 	pol := e.Cfg.BasePolicy.Merge(s.policy)
 	if s.selfCheck {
 		pol.SelfCheck = true
 	}
-	t, err := e.backendTranslate(eip, pol)
+	req, err := e.Trans.Prepare(eip, pol)
 	if err != nil {
 		if errors.Is(err, xlate.ErrUntranslatable) {
 			s.interpOnly = true
-			return nil
+		} else {
+			e.translationFailed(eip, err)
 		}
-		e.err = fmt.Errorf("cms: translation failed at %#x: %w", eip, err)
-		return nil
+		return nil, nil
 	}
-	e.Metrics.Translations++
-	e.Metrics.MolsTranslate += e.Cfg.TranslateCostPerInsn * uint64(len(t.Insns))
-	e.Metrics.CodeAtoms += uint64(t.CodeAtoms())
-	e.Metrics.GuestInsnsTranslated += uint64(len(t.Insns))
-	e.trace(EvTranslate, eip, fmt.Sprintf("%d insns, %d mols", len(t.Insns), t.CodeMolecules()))
-	ent := e.Cache.Install(t)
-	ent.SelfReval = s.wantSelfReval && e.Cfg.EnableSelfReval
-	e.protect(t)
-	return ent
+	return nil, req
 }
 
-// backendTranslate produces a translation for eip on the synchronous path:
-// directly from the translator, or — when a farm's shared store is
-// configured — through the content-addressed store, installing a per-VM
-// clone of the frozen artifact. Either way the caller charges the same
-// simulated translation cost; the store saves wall-clock work only.
-func (e *Engine) backendTranslate(eip uint32, pol xlate.Policy) (*xlate.Translation, error) {
+// storeMethod is how produce asks a shared store for an artifact:
+// (*tcache.SharedStore).Translate, or Rehydrate on snapshot restore.
+type storeMethod func(*tcache.SharedStore, *xlate.Request) (*xlate.Translation, bool, error)
+
+// produce turns a frozen request into this VM's translation: directly from
+// the back end, or — when a farm's shared store is configured — a per-VM
+// clone of the store's frozen artifact. A pure function of the request either
+// way, so it runs on any goroutine and the store saves wall-clock work only.
+func (e *Engine) produce(req *xlate.Request, via storeMethod) (*xlate.Translation, error) {
 	store := e.Cfg.SharedStore
 	if store == nil {
-		return e.Trans.Translate(eip, pol)
+		return req.Translate()
 	}
-	req, err := e.Trans.Prepare(eip, pol)
-	if err != nil {
-		return nil, err
-	}
-	art, hit, err := store.Translate(req)
+	art, hit, err := via(store, req)
 	if err != nil {
 		return nil, err
 	}
@@ -304,9 +300,49 @@ func (e *Engine) backendTranslate(eip uint32, pol xlate.Policy) (*xlate.Translat
 	} else {
 		e.sharedMisses.Add(1)
 	}
-	e.Trans.Translated++
-	e.Trans.InsnsTranslated += uint64(len(art.Insns))
 	return art.Clone(), nil
+}
+
+// install charges a produced translation to the simulated cost model and
+// places it in the cache.
+func (e *Engine) install(eip uint32, t *xlate.Translation) *tcache.Entry {
+	n := uint64(len(t.Insns))
+	e.Trans.Translated++
+	e.Trans.InsnsTranslated += n
+	e.Metrics.Translations++
+	e.Metrics.MolsTranslate += e.Cfg.TranslateCostPerInsn * n
+	e.Metrics.CodeAtoms += uint64(t.CodeAtoms())
+	e.Metrics.GuestInsnsTranslated += n
+	e.trace(EvTranslate, eip, fmt.Sprintf("%d insns, %d mols", len(t.Insns), t.CodeMolecules()))
+	return e.place(e.site(eip), t)
+}
+
+// place puts t in the cache as its site wants it and write-protects its
+// source pages.
+func (e *Engine) place(s *site, t *xlate.Translation) *tcache.Entry {
+	ent := e.Cache.Install(t)
+	ent.SelfReval = s.wantSelfReval && e.Cfg.EnableSelfReval
+	e.protect(t)
+	return ent
+}
+
+func (e *Engine) translationFailed(eip uint32, err error) {
+	e.err = fmt.Errorf("cms: translation failed at %#x: %w", eip, err)
+}
+
+// translateAt is the synchronous path. It returns nil if the address is
+// untranslatable or translation failed.
+func (e *Engine) translateAt(eip uint32) *tcache.Entry {
+	ent, req := e.prepare(eip)
+	if req == nil {
+		return ent
+	}
+	t, err := e.produce(req, (*tcache.SharedStore).Translate)
+	if err != nil {
+		e.translationFailed(eip, err)
+		return nil
+	}
+	return e.install(eip, t)
 }
 
 // SharedStats reports how many of this engine's translation requests the

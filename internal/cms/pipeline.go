@@ -47,28 +47,14 @@ type savedPending struct {
 	req   *xlate.Request
 }
 
-// startPipeline brings the worker pool up for one Run. With a farm's shared
-// store configured, workers translate through the store — lookup or
-// single-flighted backend run — and hand back a per-VM clone of the frozen
-// artifact; the engine-side install flow (due times, stale checks, metric
-// charges) is identical either way, so the store moves wall clock only.
+// startPipeline brings the worker pool up for one Run. Workers run produce,
+// the same step the synchronous path runs inline; the engine-side install
+// flow (due times, stale checks, metric charges) does not depend on whether
+// a shared store is behind it, so the store moves wall clock only.
 func (e *Engine) startPipeline() {
-	var do xlate.TranslateFunc
-	if store := e.Cfg.SharedStore; store != nil {
-		do = func(req *xlate.Request) (*xlate.Translation, error) {
-			art, hit, err := store.Translate(req)
-			if err != nil {
-				return nil, err
-			}
-			if hit {
-				e.sharedHits.Add(1)
-			} else {
-				e.sharedMisses.Add(1)
-			}
-			return art.Clone(), nil
-		}
-	}
-	e.pipe = xlate.NewPipeline(e.Cfg.PipelineWorkers, e.Cfg.PipelineDepth, do)
+	e.pipe = xlate.NewPipeline(e.Cfg.PipelineWorkers, e.Cfg.PipelineDepth, func(req *xlate.Request) (*xlate.Translation, error) {
+		return e.produce(req, (*tcache.SharedStore).Translate)
+	})
 	e.inflight = make(map[uint32]bool)
 	// Resubmit the queue a cancelled Run (or a snapshot restore) carried
 	// over: original due times, no fresh PipelineSubmits charges — the
@@ -112,37 +98,17 @@ func (e *Engine) drainPipeline() {
 	}
 }
 
-// submitTranslation is the pipelined counterpart of translateAt: it resolves
-// group reuse synchronously (a snapshot comparison, not translator work) and
-// otherwise freezes a request for the worker pool. It returns a non-nil
-// entry only on immediate group reinstall.
+// submitTranslation is the pipelined counterpart of translateAt: prepare
+// runs here (group reuse is a snapshot comparison, not translator work, and
+// region capture must see the bus at this simulated instant), produce runs on
+// a worker. It returns a non-nil entry only on immediate group reinstall.
 func (e *Engine) submitTranslation(eip uint32) *tcache.Entry {
-	s := e.site(eip)
 	if e.inflight[eip] || len(e.pendq) >= e.Cfg.PipelineDepth {
 		return nil
 	}
-	if e.Cfg.EnableGroups && s.useGroups {
-		if t := e.Cache.GroupMatch(eip, e.Plat.Bus); t != nil {
-			e.Metrics.GroupReuses++
-			e.trace(EvGroupReuse, eip, "")
-			ent := e.Cache.Install(t)
-			ent.SelfReval = s.wantSelfReval && e.Cfg.EnableSelfReval
-			e.protect(t)
-			return ent
-		}
-	}
-	pol := e.Cfg.BasePolicy.Merge(s.policy)
-	if s.selfCheck {
-		pol.SelfCheck = true
-	}
-	req, err := e.Trans.Prepare(eip, pol)
-	if err != nil {
-		if errors.Is(err, xlate.ErrUntranslatable) {
-			s.interpOnly = true
-			return nil
-		}
-		e.err = fmt.Errorf("cms: translation failed at %#x: %w", eip, err)
-		return nil
+	ent, req := e.prepare(eip)
+	if req == nil {
+		return ent
 	}
 	e.Metrics.PipelineSubmits++
 	e.trace(EvTranslate, eip, fmt.Sprintf("submitted, %d insns", req.GuestLen()))
@@ -161,7 +127,7 @@ func (e *Engine) installPending(p pending) {
 	t, err := p.pr.Wait()
 	delete(e.inflight, p.entry)
 	if err != nil {
-		e.err = fmt.Errorf("cms: translation failed at %#x: %w", p.entry, err)
+		e.translationFailed(p.entry, err)
 		return
 	}
 	if !t.SourceMatches(e.Plat.Bus) {
@@ -173,16 +139,6 @@ func (e *Engine) installPending(p pending) {
 		e.trace(EvTranslate, p.entry, "stale: dropped before install")
 		return
 	}
-	s := e.site(p.entry)
-	e.Trans.Translated++
-	e.Trans.InsnsTranslated += uint64(len(t.Insns))
-	e.Metrics.Translations++
-	e.Metrics.MolsTranslate += e.Cfg.TranslateCostPerInsn * uint64(len(t.Insns))
-	e.Metrics.CodeAtoms += uint64(t.CodeAtoms())
-	e.Metrics.GuestInsnsTranslated += uint64(len(t.Insns))
 	e.Metrics.PipelineInstalls++
-	e.trace(EvTranslate, p.entry, fmt.Sprintf("%d insns, %d mols", len(t.Insns), t.CodeMolecules()))
-	ent := e.Cache.Install(t)
-	ent.SelfReval = s.wantSelfReval && e.Cfg.EnableSelfReval
-	e.protect(t)
+	e.install(p.entry, t)
 }

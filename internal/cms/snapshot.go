@@ -155,28 +155,14 @@ func (e *Engine) ExportState() (*EngineState, error) {
 	return s, nil
 }
 
-// rehydrate is the translate callback used while restoring the cache: with
-// a shared store configured it fetches (or, on a cold store, deterministically
-// retranslates) by content key and installs a per-VM clone; without one it
-// runs the translator directly. Either way the artifact is bit-identical to
-// the captured one. Nothing is charged to Metrics — every charge for these
+// rehydrate is the translate callback used while restoring the cache:
+// produce, asking a configured shared store through Rehydrate so the warm
+// fraction of a restore is observable. The artifact is bit-identical to the
+// captured one. Nothing is charged to Metrics — every charge for these
 // translations is already inside the snapshot's Metrics, which overwrite
 // the engine's counters after the rebuild.
 func (e *Engine) rehydrate(req *xlate.Request) (*xlate.Translation, error) {
-	store := e.Cfg.SharedStore
-	if store == nil {
-		return req.Translate()
-	}
-	art, hit, err := store.Rehydrate(req)
-	if err != nil {
-		return nil, err
-	}
-	if hit {
-		e.sharedHits.Add(1)
-	} else {
-		e.sharedMisses.Add(1)
-	}
-	return art.Clone(), nil
+	return e.produce(req, (*tcache.SharedStore).Rehydrate)
 }
 
 // RestoreEngine builds a fresh engine over plat and overwrites it with a

@@ -35,10 +35,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"cms/internal/asm"
 	"cms/internal/cms"
 	"cms/internal/dev"
-	"cms/internal/fuzzer"
 	"cms/internal/guest"
 	"cms/internal/incident"
 	"cms/internal/mem"
@@ -231,8 +229,8 @@ type JobView struct {
 	Error  string  `json:"error,omitempty"`
 	Result *Result `json:"result,omitempty"`
 	// LatencyNs is submit-to-completion wall time, including queue wait
-	// (0 until the job finishes) — the number the farmscale harness turns
-	// into p50/p99 serving latency.
+	// (0 until the job finishes) — the number /metrics and cmsperf turn into
+	// p50/p99 serving latency.
 	LatencyNs int64 `json:"latency_ns,omitempty"`
 	// Where the runner's share of that time went, beside Result.WallNs (the
 	// time inside Engine.Run). QueueNs is submit to dequeue. ConstructNs is
@@ -434,6 +432,12 @@ func (f *Farm) SubmitRestore(blob []byte, spec JobSpec) (JobView, error) {
 	s, err := snapshot.Decode(blob)
 	if err != nil {
 		return JobView{}, err
+	}
+	// A self-consistent envelope can still describe a bus no VM can hold
+	// (page beyond RAM, array lengths off, a generation set to wrap): refuse
+	// it here, before a job id is minted, not in the runner's setup.
+	if _, err := s.Platform.RAMSize(); err != nil {
+		return JobView{}, fmt.Errorf("farm: restore: %w", err)
 	}
 	// Friendlier at admission than mid-attempt: an injected capture cannot
 	// resume without its schedule.
@@ -873,31 +877,17 @@ func (f *Farm) attempt(j *job, vm *vmSlot, n int, engCfg cms.Config, rung string
 	}
 	spec := j.spec
 	var (
-		org, entry uint32
-		data, disk []byte
-		ram        uint32
-		budget     uint64
-		stackTop   uint32
+		img      *workload.Image
+		stackTop uint32
+		budget   uint64
 	)
 	if j.restore == nil {
-		switch {
-		case spec.Workload != "":
-			w, err := workload.ByName(spec.Workload)
-			if err != nil {
-				return setupFailed(err)
-			}
-			img := w.Build()
-			org, data, entry = img.Org, img.Data, img.Entry
-			disk, ram, budget = img.Disk, img.RAM, img.Budget
-		default:
-			prog, err := asm.Assemble(spec.Source)
-			if err != nil {
-				return setupFailed(err)
-			}
-			org, data, entry = prog.Org, prog.Image, prog.Entry()
-			ram = 1 << 21
+		var err error
+		if img, stackTop, err = incident.BuildImage(spec.Workload, spec.Source); err != nil {
+			return setupFailed(err)
+		}
+		if budget = img.Budget; budget == 0 {
 			budget = f.cfg.DefaultBudget
-			stackTop = ram / 2
 		}
 	}
 	if spec.Budget > 0 {
@@ -913,13 +903,8 @@ func (f *Farm) attempt(j *job, vm *vmSlot, n int, engCfg cms.Config, rung string
 		cfg.Backend = spec.Backend
 	}
 
-	var sched *fuzzer.Schedule
-	if spec.InjectSeed != 0 {
-		if spec.ChaosPanics {
-			sched = fuzzer.NewChaosSchedule(spec.InjectSeed)
-		} else {
-			sched = fuzzer.NewSchedule(spec.InjectSeed)
-		}
+	sched := incident.Schedule(spec.InjectSeed, spec.ChaosPanics)
+	if sched != nil {
 		cfg.Injector = sched
 	}
 
@@ -962,12 +947,12 @@ func (f *Farm) attempt(j *job, vm *vmSlot, n int, engCfg cms.Config, rung string
 			budget = e.Budget()
 		}
 	} else {
-		plat = dev.NewPlatformOn(vm.acquire(ram), disk)
-		plat.Bus.WriteRaw(org, data)
+		plat = dev.NewPlatformOn(vm.acquire(img.RAM), img.Disk)
+		plat.Bus.WriteRaw(img.Org, img.Data)
 		if sched != nil {
 			plat.Bus.ForceProtHit = sched.ForceProtHit
 		}
-		e = cms.New(plat, entry, cfg)
+		e = cms.New(plat, img.Entry, cfg)
 		if stackTop != 0 {
 			e.CPU().Regs[guest.ESP] = stackTop
 		}
@@ -999,7 +984,7 @@ func (f *Farm) attempt(j *job, vm *vmSlot, n int, engCfg cms.Config, rung string
 		// Hashed here, not per job: only a written bundle reads it.
 		imageSHA := ""
 		if j.restore == nil {
-			imageSHA = incident.ImageHash(org, entry, ram, data, disk)
+			imageSHA = incident.ImageHash(img.Org, img.Entry, img.RAM, img.Data, img.Disk)
 		}
 		return f.writeIncident(j, n, rung, kind, errMsg, stack, spec, budget,
 			imageSHA, cfg, e, plat)

@@ -5,6 +5,8 @@ import (
 
 	"cms/internal/cms"
 	"cms/internal/incident"
+	"cms/internal/mem"
+	"cms/internal/snapshot"
 	"cms/internal/workload"
 )
 
@@ -192,7 +194,8 @@ loop:
 }
 
 // TestSubmitRestoreValidation pins the admission errors: a spec naming an
-// image, a corrupt envelope, and an injected capture without its seed.
+// image, a corrupt envelope, and a self-consistent envelope whose bus section
+// no VM can hold — each refused before a job is minted.
 func TestSubmitRestoreValidation(t *testing.T) {
 	cfg := cms.DefaultConfig()
 	f := New(Config{MaxVMs: 1, Engine: cfg})
@@ -209,6 +212,27 @@ func TestSubmitRestoreValidation(t *testing.T) {
 	}
 	if _, err := f.SubmitRestore(blob, JobSpec{Workload: "eqntott"}); err == nil {
 		t.Fatal("restore spec with a workload admitted")
+	}
+	for name, tamper := range map[string]func(*mem.BusState){
+		"page beyond RAM":      func(b *mem.BusState) { b.Pages[0].Index = b.NumPages },
+		"oversized generation": func(b *mem.BusState) { b.Gen[0] = ^uint64(0) },
+	} {
+		s, err := snapshot.Decode(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tamper(s.Platform.Bus)
+		bad, err := s.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := f.Stats().Submitted
+		if v, err := f.SubmitRestore(bad, JobSpec{}); err == nil {
+			t.Errorf("%s: envelope admitted as %s", name, v.ID)
+		}
+		if got := f.Stats().Submitted; got != before {
+			t.Errorf("%s: refused envelope moved submitted %d -> %d", name, before, got)
+		}
 	}
 	f.Drain()
 }

@@ -269,26 +269,43 @@ func IsBundle(path string) bool {
 	return first[0] == '{'
 }
 
-// build reconstructs the guest image for the bundle's program, mirroring the
-// farm's job setup exactly (same RAM size, stack top, and entry).
-func (b *Bundle) build() (org, entry, ram, stackTop uint32, data, disk []byte, err error) {
+// BuildImage is the one job→image rule: what the farm boots a job from and
+// what Replay rebuilds a bundle from, so a replay cannot drift from the run
+// that failed. A named workload brings its own placement and budget; a g86
+// source program is assembled into 2 MiB of RAM with the stack (stackTop,
+// the initial ESP; 0 leaves the engine's default) at its middle, and Budget 0
+// — the caller's default applies.
+func BuildImage(workloadName, source string) (img *workload.Image, stackTop uint32, err error) {
 	switch {
-	case b.Workload != "":
-		w, werr := workload.ByName(b.Workload)
-		if werr != nil {
-			return 0, 0, 0, 0, nil, nil, werr
+	case workloadName != "":
+		w, err := workload.ByName(workloadName)
+		if err != nil {
+			return nil, 0, err
 		}
-		img := w.Build()
-		return img.Org, img.Entry, img.RAM, 0, img.Data, img.Disk, nil
-	case b.Source != "":
-		prog, perr := asm.Assemble(b.Source)
-		if perr != nil {
-			return 0, 0, 0, 0, nil, nil, perr
+		return w.Build(), 0, nil
+	case source != "":
+		prog, err := asm.Assemble(source)
+		if err != nil {
+			return nil, 0, err
 		}
-		ram = 1 << 21
-		return prog.Org, prog.Entry(), ram, ram / 2, prog.Image, nil, nil
+		const ram = 1 << 21
+		return &workload.Image{Org: prog.Org, Data: prog.Image, Entry: prog.Entry(), RAM: ram}, ram / 2, nil
 	default:
-		return 0, 0, 0, 0, nil, nil, errors.New("incident: bundle has neither workload nor source")
+		return nil, 0, errors.New("incident: neither workload nor source")
+	}
+}
+
+// Schedule is the fault-injection schedule a job spec or bundle names: nil
+// for seed 0, else the seed's deterministic schedule, with injected host
+// panics on top when chaosPanics is set.
+func Schedule(seed uint64, chaosPanics bool) *fuzzer.Schedule {
+	switch {
+	case seed == 0:
+		return nil
+	case chaosPanics:
+		return fuzzer.NewChaosSchedule(seed)
+	default:
+		return fuzzer.NewSchedule(seed)
 	}
 }
 
@@ -298,13 +315,8 @@ func (b *Bundle) build() (org, entry, ram, stackTop uint32, data, disk []byte, e
 // when the incident reproduced and a descriptive error otherwise.
 func Replay(b *Bundle) error {
 	cfg := b.Engine.ToCMS()
-	var sched *fuzzer.Schedule
-	if b.InjectSeed != 0 {
-		if b.ChaosPanics {
-			sched = fuzzer.NewChaosSchedule(b.InjectSeed)
-		} else {
-			sched = fuzzer.NewSchedule(b.InjectSeed)
-		}
+	sched := Schedule(b.InjectSeed, b.ChaosPanics)
+	if sched != nil {
 		cfg.Injector = sched
 	}
 
@@ -327,21 +339,21 @@ func Replay(b *Bundle) error {
 			plat.Bus.ForceProtHit = sched.ForceProtHit
 		}
 	} else {
-		org, entry, ram, stackTop, data, disk, err := b.build()
+		img, stackTop, err := BuildImage(b.Workload, b.Source)
 		if err != nil {
 			return fmt.Errorf("incident: rebuild image: %w", err)
 		}
 		if b.ImageSHA != "" {
-			if got := ImageHash(org, entry, ram, data, disk); got != b.ImageSHA {
+			if got := ImageHash(img.Org, img.Entry, img.RAM, img.Data, img.Disk); got != b.ImageSHA {
 				return fmt.Errorf("incident: rebuilt image hash %s != recorded %s (builder drifted?)", short(got), short(b.ImageSHA))
 			}
 		}
-		plat = dev.NewPlatform(ram, disk)
-		plat.Bus.WriteRaw(org, data)
+		plat = dev.NewPlatform(img.RAM, img.Disk)
+		plat.Bus.WriteRaw(img.Org, img.Data)
 		if sched != nil {
 			plat.Bus.ForceProtHit = sched.ForceProtHit
 		}
-		e = cms.New(plat, entry, cfg)
+		e = cms.New(plat, img.Entry, cfg)
 		if stackTop != 0 {
 			e.CPU().Regs[guest.ESP] = stackTop
 		}

@@ -33,27 +33,22 @@ type pipeResult struct {
 	err error
 }
 
-// TranslateFunc runs the translation backend for one frozen request. The
-// default is Request.Translate; a farm substitutes a content-addressed
-// shared store's lookup-or-translate so identical regions across VMs are
-// translated once. Any substitute must remain a pure function of the
-// request's content (equal keys → byte-identical translations), or the
-// engine's determinism contract breaks.
+// TranslateFunc runs the translation backend for one frozen request:
+// Request.Translate, or a content-addressed shared store's
+// lookup-or-translate so identical regions across VMs are translated once.
+// It must be a pure function of the request's content (equal keys →
+// byte-identical translations), or the engine's determinism contract breaks.
 type TranslateFunc func(*Request) (*Translation, error)
 
 // NewPipeline starts a pool of workers with a submit queue of the given
 // depth. The queue never applies backpressure to the engine: the engine
 // bounds its in-flight count to depth itself, so sends always find space.
-// A nil do means Request.Translate.
 func NewPipeline(workers, depth int, do TranslateFunc) *Pipeline {
 	if workers < 1 {
 		workers = 1
 	}
 	if depth < 1 {
 		depth = 1
-	}
-	if do == nil {
-		do = func(req *Request) (*Translation, error) { return req.Translate() }
 	}
 	p := &Pipeline{submit: make(chan *PipeRequest, depth), do: do}
 	p.wg.Add(workers)

@@ -19,11 +19,13 @@ go vet ./...
 go test -race ./...
 
 # The contracts below ran once already, under -race, in the full suite
-# above: the compiled backend's differential (identical state and Metrics on
-# every workload under both backends), the farm differentials (solo and
-# in-farm runs byte-identical over the shared store, including mixed
-# vliw/risc farms), the sharded-store torture test, the fault-containment
-# chaos capstone, and the translator's three (below). Running them again by
+# above: the backend differential (identical state, Metrics and cache
+# statistics on every workload, executed interpretively, through the vliw
+# closures and through the risc register IR, sync and pipelined — plus its
+# mutation test), internal/bench importing no clock, the farm differentials
+# (solo and in-farm runs byte-identical over the shared store, including
+# mixed vliw/risc farms), the sharded-store torture test, the
+# fault-containment chaos capstone, and the translator's three (below). Running them again by
 # name bought nothing; what the by-name lines guarded against is a contract
 # being renamed away or dropped, and a -list check catches that without
 # executing anything.
@@ -42,7 +44,8 @@ require_tests ./internal/farm/ TestFarmDifferential TestFarmDifferentialPipeline
 	TestFarmMixedBackendDifferential TestChaosServing TestRecycledVMDifferential \
 	TestRecycledVMCanary
 require_tests ./internal/tcache/ TestSharedStoreTorture
-require_tests ./internal/bench/ TestBackendDifferential
+require_tests ./internal/bench/ TestBackendDifferential TestBackendDifferentialPipelined \
+	TestBackendDifferentialCatchesWrongCarry TestBenchIsClockFree
 # The translator's working memory is pooled across goroutines. What licenses
 # that: the emitted code of the corpus is pinned to a digest, translating
 # beside other goroutines and on a junk-filled scratch changes nothing (the
@@ -60,17 +63,15 @@ require_tests ./internal/mem/ FuzzBusResetComplete
 # "recycling leaks", not as one line among the full suite's.
 go test -race -count=1 -run 'TestRecycledVM' ./internal/farm/
 
-# Backend equivalence over the real workload suite: cmsbench -exp backend
-# hard-fails if Metrics or cache statistics diverge between the vliw and
-# risc backends on ANY workload — the ninth oracle leg's contract, re-run
-# on full boots and apps instead of generated programs.
-go run ./cmd/cmsbench -exp backend -runs 1
-
-# Multicore farm smoke: a short sustained-load sweep through the farmscale
-# harness at 1 and 4 VMs (GOMAXPROCS pinned per level). On a single-core
-# host this prints the loud effective-parallelism warning and still checks
-# the harness end to end.
-go run ./cmd/cmsbench -exp farmscale -farmvms 1,4 -farmjobs 24
+# cmsbench prints the paper's figures and tables, every number a function
+# of simulated Metrics: two runs must print the same bytes.
+benchdir="${TMPDIR:-/tmp}/cms-bench"
+mkdir -p "$benchdir"
+go build -o "$benchdir/cmsbench" ./cmd/cmsbench
+"$benchdir/cmsbench" >"$benchdir/run1"
+"$benchdir/cmsbench" >"$benchdir/run2"
+cmp "$benchdir/run1" "$benchdir/run2"
+echo "check.sh: cmsbench output deterministic"
 
 # Generative fuzzer smoke: sweep 64 seeds through the full differential
 # oracle — nine straight legs per seed (interp, xlate, compiled, the risc
