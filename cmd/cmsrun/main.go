@@ -91,8 +91,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		noStylized  = flag.Bool("nostylized", false, "disable stylized SMC (§3.6.4)")
 		noGroups    = flag.Bool("nogroups", false, "disable translation groups (§3.6.5)")
 		noChain     = flag.Bool("nochain", false, "disable exit chaining")
-		noCompile   = flag.Bool("nocompile", false, "disable the compiled (closure-threaded) backend; interpret translations")
-		backend     = flag.String("backend", "vliw", "code-gen backend: vliw (closure-threaded) or risc (register IR, lazy EFLAGS)")
+		noCompile   = flag.Bool("nocompile", false, "disable the compiled (step-array) backend; interpret translations")
+		backend     = flag.String("backend", "vliw", "code-gen backend: vliw (step-array) or risc (register IR, lazy EFLAGS)")
 		hot         = flag.Uint64("hot", 0, "translation threshold (0 = default)")
 		unroll      = flag.Int("unroll", 0, "region unroll factor (0 = default)")
 		workers     = flag.Int("workers", 0, "translation pipeline workers (0 = synchronous)")

@@ -56,7 +56,7 @@ type Config struct {
 	// EnableGroups turns on translation groups (§3.6.5).
 	EnableGroups bool
 	// EnableCompiledBackend compiles installed translations into
-	// closure-threaded code on the pipeline workers and executes that form
+	// step-array code on the pipeline workers and executes that form
 	// on the hot path. Purely a wall-clock optimization: gating,
 	// commit/rollback, faults, and all simulated Metrics are identical to
 	// the interpretive backend (the differential test in internal/bench
@@ -64,7 +64,7 @@ type Config struct {
 	EnableCompiledBackend bool
 	// Backend selects which code-gen backend builds the executable form
 	// when EnableCompiledBackend is on: "vliw" (or empty) for the
-	// closure-threaded backend, "risc" for the register-IR backend with
+	// step-array backend, "risc" for the register-IR backend with
 	// lazy EFLAGS materialization. Both are bit-identical to the
 	// interpretive backend at every commit boundary (the ninth fuzzer
 	// oracle leg holds them to it); the tag participates in translation

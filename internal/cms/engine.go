@@ -458,7 +458,7 @@ func (e *Engine) texecLoop(cur *tcache.Entry) {
 
 		mols0 := e.Machine.Mols
 		// Backend fast path when the translation carries an executable
-		// form — register-IR or closure-threaded, whichever its request
+		// form — register-IR or step-array, whichever its request
 		// selected; the interpreter is the always-correct fallback (and
 		// the only path when EnableCompiledBackend is off).
 		var out *vliw.Outcome
@@ -485,7 +485,7 @@ func (e *Engine) texecLoop(cur *tcache.Entry) {
 			return
 		}
 
-		ex := cur.T.Exits[out.Exit]
+		ex := &cur.T.Exits[out.Exit] // by pointer: an Exit carries a slice header
 		e.Metrics.GuestTexec += uint64(ex.Insns)
 		e.Plat.Timer.Advance(uint64(ex.Insns))
 

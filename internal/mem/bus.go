@@ -11,6 +11,7 @@
 package mem
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"cms/internal/guest"
@@ -362,6 +363,17 @@ func (b *Bus) FastRead(addr, size uint32) bool {
 		b.attrs[p]&(AttrPresent|AttrMMIO) == AttrPresent
 }
 
+// LoadRAM32 is FastRead(addr, 4) and the little-endian read it licenses in
+// one step: ok is false, and nothing is read, for any word FastRead rejects.
+func (b *Bus) LoadRAM32(addr uint32) (v uint32, ok bool) {
+	p := addr >> PageShift
+	if p < uint32(len(b.attrs)) && (addr+3)>>PageShift == p &&
+		b.attrs[p]&(AttrPresent|AttrMMIO) == AttrPresent {
+		return binary.LittleEndian.Uint32(b.ram[addr:]), true
+	}
+	return 0, false
+}
+
 // FastWrite is FastRead's store twin: a single present, writable, non-MMIO
 // page with no CMS write protection, where CheckWrite and CheckProt both
 // return nil with no side effects.
@@ -562,12 +574,11 @@ func (b *Bus) Read8(addr uint32) uint8 {
 // Read32 performs a guest 32-bit load (little-endian). The caller must have
 // passed CheckRead.
 func (b *Bus) Read32(addr uint32) uint32 {
+	if v, ok := b.LoadRAM32(addr); ok {
+		return v
+	}
 	if b.AttrOf(addr)&AttrMMIO != 0 {
 		return b.findRegion(addr).dev.MMIORead(addr, 4)
-	}
-	if int(addr)+4 <= len(b.ram) && PageOf(addr) == PageOf(addr+3) {
-		return uint32(b.ram[addr]) | uint32(b.ram[addr+1])<<8 |
-			uint32(b.ram[addr+2])<<16 | uint32(b.ram[addr+3])<<24
 	}
 	var v uint32
 	for i := 0; i < 4; i++ {
@@ -594,17 +605,25 @@ func (b *Bus) Write32(addr uint32, v uint32) {
 		b.findRegion(addr).dev.MMIOWrite(addr, 4, v)
 		return
 	}
-	if int(addr)+4 <= len(b.ram) && PageOf(addr) == PageOf(addr+3) {
-		b.ram[addr] = byte(v)
-		b.ram[addr+1] = byte(v >> 8)
-		b.ram[addr+2] = byte(v >> 16)
-		b.ram[addr+3] = byte(v >> 24)
-		b.gen[PageOf(addr)]++
-		return
+	if !b.StoreRAM32(addr, v) {
+		for i := 0; i < 4; i++ {
+			b.Write8(addr+uint32(i), uint8(v>>(8*i)))
+		}
 	}
-	for i := 0; i < 4; i++ {
-		b.Write8(addr+uint32(i), uint8(v>>(8*i)))
+}
+
+// StoreRAM32 is Write32 for a word the caller knows is not MMIO (the gated
+// store buffer checked when the store entered it): it skips the device
+// dispatch. It stores nothing and reports false when the word is not inside
+// one RAM page; Write32 then goes byte by byte.
+func (b *Bus) StoreRAM32(addr uint32, v uint32) bool {
+	p := addr >> PageShift
+	if p >= uint32(len(b.gen)) || (addr+3)>>PageShift != p {
+		return false
 	}
+	binary.LittleEndian.PutUint32(b.ram[addr:], v)
+	b.gen[p]++
+	return true
 }
 
 // PortRead reads a 32-bit value from an I/O port. Unmapped ports float high,

@@ -11,7 +11,7 @@ import (
 
 // FuzzRiscLowerRoundtrip synthesizes a well-formed vliw.Code from the fuzz
 // input, lowers it, and runs the same initial machine state through all
-// three executors — the vliw interpreter, the closure-threaded compiled
+// three executors — the vliw interpreter, the step-array compiled
 // backend, and the risc register IR — demanding identical outcomes,
 // architectural state, RAM images, and molecule accounting.
 //
@@ -35,6 +35,26 @@ const fuzzRAMSize = 1 << 16
 type cursor struct {
 	data []byte
 	i    int
+	// straight selects the second program shape (the top bit of the first
+	// input byte): control atoms are rare, so straight-line runs of four and
+	// more molecules are the rule, and every memory atom addresses one small
+	// window off RZero, so loads meet buffered stores — exact matches, byte
+	// and word partial overlaps, words straddling a word boundary, and pairs
+	// 256 bytes apart that share a bit of the store buffer's summary mask.
+	straight bool
+}
+
+// window is the straight shape's address pool, relative to windowBase.
+var window = [...]uint32{0, 1, 2, 3, 4, 5, 7, 8, 0x100, 0x101, 0x104, 0x200}
+
+const windowBase = 0x800
+
+// memOperand picks a memory atom's base register and displacement.
+func (c *cursor) memOperand() (vliw.HReg, uint32) {
+	if c.straight {
+		return vliw.RZero, windowBase + window[int(c.next())%len(window)]
+	}
+	return c.guestReg(), uint32(c.next()) << 2
 }
 
 func (c *cursor) next() byte {
@@ -135,8 +155,8 @@ func (c *cursor) synthPlain() vliw.Atom {
 		return vliw.Atom{Op: vliw.ASetCC, Rd: rd, Cond: guest.Cond(c.next() % 16),
 			Fs: c.flagReg(), GIdx: gi}
 	case 10:
-		a := vliw.Atom{Op: vliw.ALd, Rd: rd, Ra: c.guestReg(),
-			Imm: uint32(c.next()) << 2, Size: c.size(), GIdx: gi}
+		base, disp := c.memOperand()
+		a := vliw.Atom{Op: vliw.ALd, Rd: rd, Ra: base, Imm: disp, Size: c.size(), GIdx: gi}
 		if c.next()&1 == 0 {
 			a.ProtIdx = int8(c.next() % vliw.AliasTableSize)
 		} else {
@@ -145,8 +165,8 @@ func (c *cursor) synthPlain() vliw.Atom {
 		a.Reordered = c.next()&3 == 0
 		return a
 	default:
-		a := vliw.Atom{Op: vliw.ASt, Ra: c.guestReg(), Rb: rb,
-			Imm: uint32(c.next()) << 2, Size: c.size(), GIdx: gi}
+		base, disp := c.memOperand()
+		a := vliw.Atom{Op: vliw.ASt, Ra: base, Rb: rb, Imm: disp, Size: c.size(), GIdx: gi}
 		if c.next()&1 == 0 {
 			a.CheckMask = uint64(c.next())
 		}
@@ -182,7 +202,9 @@ func (c *cursor) synthCtrl(idx, nm int) vliw.Atom {
 }
 
 func synthCode(c *cursor) *vliw.Code {
-	nm := int(c.next()%8) + 1
+	shape := c.next()
+	nm := int(shape%8) + 1
+	c.straight = shape&0x80 != 0
 	mols := make([]vliw.Molecule, 0, nm+1)
 	for i := 0; i < nm; i++ {
 		var mol vliw.Molecule
@@ -190,7 +212,7 @@ func synthCode(c *cursor) *vliw.Code {
 		for a := 0; a < n; a++ {
 			mol.Atoms = append(mol.Atoms, c.synthPlain())
 		}
-		if c.next()%4 != 3 {
+		if b := c.next(); b%4 != 3 && (!c.straight || b%8 == 0) {
 			mol.Atoms = append(mol.Atoms, c.synthCtrl(i, nm))
 		}
 		mols = append(mols, mol)
@@ -300,6 +322,15 @@ func FuzzRiscLowerRoundtrip(f *testing.F) {
 	f.Add([]byte{7, 4, 200, 13, 13, 13, 8, 8, 8, 8, 250, 1, 0, 0, 0, 0, 0,
 		42, 42, 42, 9, 9, 9, 31, 64, 128, 192, 255})
 	f.Add([]byte{8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8})
+	// The straight shape, memory-heavy: plain-atom selectors 10 and 11 are
+	// the load and the store.
+	for seed := byte(0); seed < 24; seed++ {
+		data := []byte{0x87 + seed%8*8}
+		for i := byte(0); i < 61; i++ {
+			data = append(data, 10+(i*7+seed*13)%2, seed*31+i*17, i+seed)
+		}
+		f.Add(data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := &cursor{data: data}

@@ -9,7 +9,7 @@ import (
 )
 
 // The unit tests drive hand-built vliw codes through all three executors —
-// the vliw interpreter, the closure-threaded compiled backend, and the risc
+// the vliw interpreter, the step-array compiled backend, and the risc
 // register IR — and demand identical final states via the differential
 // harness the fuzz target shares. Shapes are chosen to pin every lowering
 // case and every executor branch: the full ALU and flag-ALU matrices, lazy

@@ -25,12 +25,22 @@ func (m *Machine) ResetOutcome() { m.cout.Err = nil }
 // interrupt is pending and the committed IF allows it, the machine rolls
 // back and the FIRQ outcome is returned; otherwise nil.
 func (m *Machine) IRQWindow() *Outcome {
-	if m.IRQ != nil && m.IRQ.HasPending() && m.Shadow[RFlags]&guest.FlagIF != 0 {
-		m.rollback()
-		m.cout = Outcome{Fault: FIRQ, Exit: -1, GIdx: -1}
-		return &m.cout
+	if m.irqPending() {
+		return m.irqOutcome()
 	}
 	return nil
+}
+
+// irqPending is IRQWindow's test, small enough to inline at every molecule
+// boundary. Pending is the rare side of the conjunction, so it comes first.
+func (m *Machine) irqPending() bool {
+	return m.IRQ != nil && m.IRQ.HasPending() && m.Shadow[RFlags]&guest.FlagIF != 0
+}
+
+func (m *Machine) irqOutcome() *Outcome {
+	m.rollback()
+	m.cout = Outcome{Fault: FIRQ, Exit: -1, GIdx: -1}
+	return &m.cout
 }
 
 // BadPC rolls back and reports the fall-off-the-end fault for an
@@ -53,9 +63,17 @@ func (m *Machine) FaultOutcome(f FaultClass, gidx int, addr uint32, vec int) *Ou
 }
 
 // ExitOutcome fills the machine-owned Outcome for a normal exit and returns
-// it. The result is valid until the next execution, like ExecCompiled's.
+// it. The result is valid until the next execution, like ExecCompiled's. It
+// stores scalar fields only and leaves Err to ResetOutcome: a whole-struct
+// assignment would cost a GC write barrier per execution.
 func (m *Machine) ExitOutcome(exit int, indTarget uint32, indirect bool) *Outcome {
-	m.coutExit(exit, indTarget, indirect)
+	m.cout.Fault = FNone
+	m.cout.Exit = exit
+	m.cout.IndTarget = indTarget
+	m.cout.Indirect = indirect
+	m.cout.GuestVec = 0
+	m.cout.Addr = 0
+	m.cout.GIdx = -1
 	return &m.cout
 }
 
@@ -71,12 +89,12 @@ func (m *Machine) GatedStore(addr, val uint32, size uint8, mmio bool) {
 	if mmio {
 		kind = sbMMIO
 	}
-	m.sb = append(m.sb, sbEntry{kind: kind, addr: addr, val: val, size: size})
+	m.gate(kind, addr, val, size)
 }
 
 // GatedOut appends a port write to the gated buffer.
 func (m *Machine) GatedOut(port uint32, val uint32) {
-	m.sb = append(m.sb, sbEntry{kind: sbOut, addr: port, val: val, size: 4})
+	m.gate(sbOut, port, val, 4)
 }
 
 // PendingGatedIO reports whether gated I/O (MMIO stores or OUTs) is
@@ -103,11 +121,11 @@ func (m *Machine) AliasConflict(mask uint64, addr uint32, size uint8) bool {
 
 // ExecMoleculeExact runs one molecule with the interpreter's exact
 // semantics — execAtom against pre-molecule state, deferred register writes,
-// then control resolution — the same path Compile's fallback closures take.
-// next is the fall-through molecule index. A non-nil Outcome ends the
-// execution (fault or exit, commits already performed); otherwise the
-// returned index is the next molecule (possibly out of range, which the
-// caller's bounds check faults on, as ExecCompiled does via ccBadPC).
+// then control resolution — the path Compile's opExact steps take. next is
+// the fall-through molecule index. A non-nil Outcome ends the execution
+// (fault or exit, commits already performed); otherwise the returned index
+// is the next molecule (possibly out of range, which the caller's bounds
+// check faults on, as Exec's does).
 func (m *Machine) ExecMoleculeExact(mol *Molecule, next int32) (int32, *Outcome) {
 	const maxWidth = 16
 	var fixed [maxWidth]atomResult
@@ -132,14 +150,10 @@ func (m *Machine) ExecMoleculeExact(mol *Molecule, next int32) (int32, *Outcome)
 			if mol.Atoms[i].Commit {
 				m.commit()
 			}
-			m.coutExit(results[i].exit, results[i].indTarget, results[i].indirect)
-			return 0, &m.cout
+			return 0, m.ExitOutcome(results[i].exit, results[i].indTarget, results[i].indirect)
 		}
 		if results[i].branch {
 			nx = results[i].target
-			if nx == ccDone {
-				nx = ccBadPC // garbage target: out of range, not "done"
-			}
 		}
 	}
 	return nx, nil
@@ -153,6 +167,9 @@ func (m *Machine) ExecMoleculeExact(mol *Molecule, next int32) (int32, *Outcome)
 // false means the molecule must take an exact-semantics path
 // (ExecMoleculeExact) to stay bit-identical to Exec.
 func SpecializableMol(mol *Molecule) (ctrlIdx int, ok bool) {
+	// A specialized molecule needs: at most one control atom, no
+	// read-after-write hazard (every atom reads pre-molecule state in Exec),
+	// and no mid-molecule commit reordering.
 	nctrl := 0
 	ctrlIdx = -1
 	for i := range mol.Atoms {

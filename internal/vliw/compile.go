@@ -1,12 +1,30 @@
-// The compiled closure-threaded backend: the software analogue of emitting
-// native molecules. Compile turns a validated Code into a flat array of
-// pre-specialized Go closures — one per molecule, with operand registers,
-// immediates, flag-source renaming, and alias-check masks resolved at
-// compile time — which ExecCompiled threads through without ever consulting
-// the Atom structs again. The interpretive Exec re-decodes every atom
-// through its big switch on every execution; the compiled form pays that
-// decode exactly once, at translation-install time (on the translation
-// pipeline workers, off the engine thread).
+// The compiled step-array backend: the software analogue of emitting native
+// molecules. Compile turns a validated Code into one flat array of steps per
+// translation — one step per atom, with operand registers, immediates,
+// flag-source renaming, and alias-check masks resolved at compile time —
+// which ExecCompiled threads in a single loop without ever consulting the
+// Atom structs again. The interpretive Exec re-decodes every atom through
+// its big switch on every execution; the compiled form pays that decode
+// exactly once, at translation-install time (on the translation pipeline
+// workers, off the engine thread).
+//
+// A step is either dispatched inline by the loop's dense switch — register
+// moves and ALU ops that touch no flags, the word-sized load/store fast
+// paths, and every control atom; these carry no closure — or it is a
+// pre-specialized closure: everything that can fault, computes or consumes a
+// flag image, moves bytes, does I/O, checks the alias table, or leaves the
+// single-present-RAM-page fast path. A word load or store carries both: the
+// switch tries the fast path and calls the closure, which is the whole atom,
+// when it declines, so every slow path has exactly one implementation.
+//
+// Every molecule's steps are contiguous and molecules follow each other in
+// code order, so a straight-line run of molecules is a contiguous slice of
+// the array: the loop walks from step to step and performs the molecule
+// boundary — interrupt window, then molecule count — inline at each
+// end-of-molecule mark. entry[k] is molecule k's offset into the same array;
+// a branch into the middle of a run starts there and shares every later step
+// with the entries before it. (Giving each entry its own copy is quadratic
+// in run length.)
 //
 // The recovery contract is the whole design constraint. Compiled code must
 // commit, roll back, fault, and deoptimize to the interpreter bit-
@@ -19,19 +37,20 @@
 //
 // How that is kept:
 //
-//   - VLIW read-before-write semantics make immediate register writes legal:
-//     validated code never reads a register written earlier in the same
-//     molecule (results have latency >= 1), so applying writes in atom order
-//     as they execute is indistinguishable from Exec's deferred-write slots.
-//     Compile re-checks this hazard per molecule and falls back to an
-//     exact-semantics interpreted closure (execAtom + deferred writes) for
-//     any molecule that violates it, so even hand-built unvalidated code
-//     behaves identically.
+//   - Exec gives every atom of a molecule the pre-molecule register state
+//     (VLIW read-before-write) by deferring writes; the steps write at once.
+//     The two are indistinguishable unless an atom reads a register an
+//     earlier atom of the same molecule writes — legal, the read sees the
+//     old value, but rare in scheduled code. Compile checks this hazard per
+//     molecule (SpecializableMol) and emits one exact-semantics step
+//     (ExecMoleculeExact: execAtom + deferred writes) for any molecule that
+//     has it.
 //   - Memory effects (gated stores, store-buffer forwarding, alias-table
 //     allocation and checking, port I/O) already happen in atom order in
-//     Exec, so the compiled closures simply preserve atom order.
+//     Exec, so the steps simply preserve atom order; the control atom is
+//     resolved last.
 //   - Molecules containing ACommit alongside register writes or trailing
-//     memory atoms take the fallback closure: ACommit commits *mid-molecule*
+//     memory atoms take the exact step: ACommit commits *mid-molecule*
 //     state, which immediate register writes would corrupt.
 //   - One fault-path divergence is tolerated by design: when an atom faults,
 //     earlier atoms of the same molecule have already written their
@@ -41,225 +60,315 @@
 //     itself leaves stale temporaries from *earlier* molecules of the failed
 //     execution — so no translation can observe the difference.
 //
-// Fused fast paths: flag-computing ALU closures produce the result and the
-// EFLAGS image in one call (ALU+flags); load closures allocate their alias
-// protection entry inline (load+alias-record); and a fall-through molecule
-// is fused with a successor molecule that ends in a branch or exit
-// (compare+branch — the `dec.c` / `brcc` tail of every hot loop), with the
-// inter-molecule interrupt window and molecule count preserved exactly.
+// Fused closures: flag-computing ALU closures produce the result and the
+// EFLAGS image in one call (ALU+flags), and load closures allocate their
+// alias protection entry inline (load+alias-record).
 package vliw
 
 import (
-	"fmt"
-	"math/bits"
-
 	"cms/internal/guest"
 	"cms/internal/mem"
 )
-
-// Sentinels returned by molecule closures in place of a next-molecule index.
-const (
-	// ccDone: the execution is over; the Outcome is in Machine.cout.
-	ccDone int32 = -1
-	// ccBadPC stands in for a (garbage) branch target that would collide
-	// with ccDone; it is out of range, so ExecCompiled faults on it just as
-	// Exec faults on any out-of-range pc.
-	ccBadPC int32 = -2
-)
-
-// compiledMol executes one molecule and returns the next molecule index, or
-// ccDone with the Outcome in m.cout.
-type compiledMol func(m *Machine) int32
 
 // atomFn executes one non-control atom. A non-nil return is a fault Outcome
 // (the machine has already rolled back).
 type atomFn func(m *Machine) *Outcome
 
-// ctrlFn resolves a molecule's control transfer after its atoms ran.
-type ctrlFn func(m *Machine) int32
+// stepOp selects how ExecCompiled's loop performs a step.
+type stepOp uint8
 
-// CompiledCode is the closure-threaded form of one translation's Code.
+const (
+	opFn  stepOp = iota // call fn: the whole atom is a closure
+	opNop               // an empty molecule's only step; carries the mark
+	// Register-only atoms, performed inline; fn is nil.
+	opMovI
+	opMov
+	opAdd
+	opAddI
+	opSub
+	opSubI
+	opAnd
+	opAndI
+	opOr
+	opOrI
+	opXor
+	opXorI
+	opShl
+	opShlI
+	opShr
+	opShrI
+	opSar
+	opSarI
+	// Word load/store: the single-present-RAM-page fast path inline, fn (the
+	// whole atom) when it declines.
+	opLd4
+	opSt4
+	// Control atoms, always a molecule's last step; fn is nil.
+	opBr
+	opBrCC
+	opBrNZ
+	opExit
+	opExitInd
+	opCommit
+	// The whole molecule through ExecMoleculeExact; imm is its index.
+	opExact
+)
+
+// inlineOp maps the register-only atoms to their inline step.
+var inlineOp = [ASarI + 1]stepOp{
+	AMovI: opMovI, AMov: opMov,
+	AAdd: opAdd, AAddI: opAddI, ASub: opSub, ASubI: opSubI,
+	AAnd: opAnd, AAndI: opAndI, AOr: opOr, AOrI: opOrI, AXor: opXor, AXorI: opXorI,
+	AShl: opShl, AShlI: opShlI, AShr: opShr, AShrI: opShrI, ASar: opSar, ASarI: opSarI,
+}
+
+// End-of-molecule marks.
+const (
+	eomFall uint8 = 1 + iota // the next step starts the next molecule
+	eomLast                  // the code's last molecule: falling through is FBadCode
+)
+
+// step is one atom of a compiled translation (or, for opExact, one whole
+// molecule).
+type step struct {
+	fn     atomFn
+	imm    uint32 // immediate; branch target; exit index; commit EIP; molecule index
+	op     stepOp
+	rd     HReg
+	ra     HReg // first source; the flag source of opBrCC
+	rb     HReg
+	prot   int8       // alias slot an opLd4 records, or NoAliasIdx
+	cond   guest.Cond // opBrCC
+	commit bool       // opExit/opExitInd: commit before leaving
+	eom    uint8      // non-zero on a molecule's last step
+}
+
+// CompiledCode is the step-array form of one translation's Code.
 type CompiledCode struct {
-	mols []compiledMol
+	code  *Code
+	steps []step  // every molecule's steps, in code order
+	entry []int32 // molecule index -> offset of its first step
 
 	// Compile-shape statistics (introspection and tests).
-	specialized int
-	fallbacks   int
-	fused       int
+	fallbacks int
+	fused     int
 }
 
 // Len returns the number of compiled molecules.
-func (cc *CompiledCode) Len() int { return len(cc.mols) }
+func (cc *CompiledCode) Len() int { return len(cc.entry) }
 
 // Fallbacks returns how many molecules compile to the exact-semantics
-// interpreted fallback rather than a specialized closure.
+// interpreted step rather than specialized steps.
 func (cc *CompiledCode) Fallbacks() int { return cc.fallbacks }
 
-// Fused returns how many fall-through molecules were fused with their
-// branch-ending successor.
+// Fused returns how many molecules the loop runs straight into their
+// successor: those without a branch-unit atom, other than the last.
 func (cc *CompiledCode) Fused() int { return cc.fused }
 
 // ExecCompiled runs compiled code from its first molecule until an exit or a
 // fault, exactly as Exec runs the interpreted form: the same interrupt
 // window at every molecule boundary, the same molecule accounting, and the
-// same fall-off-the-end fault. The returned Outcome is machine-owned and
-// valid until the next Exec/ExecCompiled call — the hot dispatch loop reads
-// it in place rather than copying the struct on every execution.
+// same fall-off-the-end fault. The returned Outcome — the machine's own slot
+// for an exit, the fault's own allocation for a fault — is valid until the
+// next Exec/ExecCompiled call: the hot dispatch loop reads it in place rather
+// than copying the struct on every execution.
 func (m *Machine) ExecCompiled(cc *CompiledCode) *Outcome {
+	steps, entry := cc.steps, cc.entry
+	r := &m.Regs
+	m.ResetOutcome()
 	pc := int32(0)
-	mols := cc.mols
-	irq := m.IRQ // loop-invariant; nil only in harnesses
-	// Exit closures store only scalar fields into cout (a whole-struct
-	// assignment would drag a GC write barrier for the Err pointer into
-	// every single execution); the one pointer field is cleared here.
-	m.cout.Err = nil
 	for {
-		// Interrupt window at molecule boundaries (§3.3). Pending is the
-		// rare side of the conjunction, so it is tested first.
-		if irq != nil && irq.HasPending() && m.Shadow[RFlags]&guest.FlagIF != 0 {
-			m.rollback()
-			m.cout = Outcome{Fault: FIRQ, Exit: -1, GIdx: -1}
-			return &m.cout
+		// A control transfer lands here: interrupt window (§3.3), bounds,
+		// molecule count — the boundary Exec performs before every molecule.
+		if m.irqPending() {
+			return m.irqOutcome()
 		}
-		if uint32(pc) >= uint32(len(mols)) {
-			m.rollback()
-			m.cout = Outcome{Fault: FBadCode, Exit: -1, GIdx: -1,
-				Err: fmt.Errorf("vliw: control fell off code at molecule %d", pc)}
-			return &m.cout
+		if uint32(pc) >= uint32(len(entry)) {
+			return m.BadPC(pc)
 		}
 		m.Mols++
-		pc = mols[pc](m)
-		if pc == ccDone {
-			return &m.cout
-		}
-	}
-}
+	run:
+		for i := entry[pc]; ; i++ {
+			s := &steps[i]
+			switch s.op {
+			case opFn:
+				if o := s.fn(m); o != nil {
+					return o
+				}
+			case opNop:
+			case opMovI:
+				r[s.rd] = s.imm
+			case opMov:
+				r[s.rd] = r[s.ra]
+			case opAdd:
+				r[s.rd] = r[s.ra] + r[s.rb]
+			case opAddI:
+				r[s.rd] = r[s.ra] + s.imm
+			case opSub:
+				r[s.rd] = r[s.ra] - r[s.rb]
+			case opSubI:
+				r[s.rd] = r[s.ra] - s.imm
+			case opAnd:
+				r[s.rd] = r[s.ra] & r[s.rb]
+			case opAndI:
+				r[s.rd] = r[s.ra] & s.imm
+			case opOr:
+				r[s.rd] = r[s.ra] | r[s.rb]
+			case opOrI:
+				r[s.rd] = r[s.ra] | s.imm
+			case opXor:
+				r[s.rd] = r[s.ra] ^ r[s.rb]
+			case opXorI:
+				r[s.rd] = r[s.ra] ^ s.imm
+			case opShl:
+				r[s.rd] = r[s.ra] << (r[s.rb] & 31)
+			case opShlI:
+				r[s.rd] = r[s.ra] << (s.imm & 31)
+			case opShr:
+				r[s.rd] = r[s.ra] >> (r[s.rb] & 31)
+			case opShrI:
+				r[s.rd] = r[s.ra] >> (s.imm & 31)
+			case opSar:
+				r[s.rd] = uint32(int32(r[s.ra]) >> (r[s.rb] & 31))
+			case opSarI:
+				r[s.rd] = uint32(int32(r[s.ra]) >> (s.imm & 31))
 
-// Compile builds the closure-threaded form of code. It never fails: any
-// molecule it cannot specialize gets a fallback closure with the exact
-// interpreted semantics, so Compile(code) and code itself are always
-// behaviorally interchangeable.
-func Compile(code *Code) *CompiledCode {
-	if code == nil {
-		return nil
-	}
-	cc := &CompiledCode{mols: make([]compiledMol, len(code.Mols))}
-	for i := range code.Mols {
-		cc.mols[i] = cc.compileMol(&code.Mols[i], int32(i+1), int32(len(code.Mols)))
-	}
-	// Run fusion: a maximal straight-line run — fall-through molecules
-	// ending at a branch, exit, or the last molecule — executes as one flat
-	// closure call, replicating each inter-molecule boundary (interrupt
-	// window + molecule count) inline. The software-pipelined loop body
-	// with its `dec.c`/`brcc` tail is one call per iteration instead of one
-	// dispatch per molecule. Every molecule stays independently addressable
-	// for direct jumps into it: later entries of a run reuse the same base
-	// closures via a shorter slice of the shared backing array.
-	base := make([]compiledMol, len(cc.mols))
-	copy(base, cc.mols)
-	for i := 0; i < len(code.Mols); {
-		if hasControlAtom(&code.Mols[i]) {
-			i++
-			continue
-		}
-		j := i
-		for j < len(code.Mols)-1 && !hasControlAtom(&code.Mols[j]) {
-			j++
-		}
-		run := base[i : j+1]
-		for k := i; k < j; k++ {
-			cc.mols[k] = fuseRun(run[k-i:], int32(k))
-			cc.fused++
-		}
-		i = j + 1
-	}
-	return cc
-}
+			case opLd4:
+				addr := r[s.ra] + s.imm
+				v, ok := m.Bus.LoadRAM32(addr)
+				if !ok {
+					if o := s.fn(m); o != nil {
+						return o
+					}
+					break
+				}
+				if m.sbMask&wordMask(addr, 4) != 0 {
+					v = m.forward(addr, 4, v)
+				}
+				r[s.rd] = v
+				if s.prot != NoAliasIdx {
+					m.alias[s.prot] = aliasEntry{addr: addr, size: 4, epoch: m.aliasEpoch}
+				}
+			case opSt4:
+				addr := r[s.ra] + s.imm
+				if m.Bus.FastWrite(addr, 4) {
+					m.gate(sbRAM, addr, r[s.rb], 4)
+				} else if o := s.fn(m); o != nil {
+					return o
+				}
 
-// hasControlAtom reports whether the molecule contains a branch-unit
-// control atom (branch, exit, or commit).
-func hasControlAtom(mol *Molecule) bool {
-	for i := range mol.Atoms {
-		switch mol.Atoms[i].Op {
-		case ABr, ABrCC, ABrNZ, AExit, AExitInd, ACommit:
-			return true
-		}
-	}
-	return false
-}
+			case opBr:
+				pc = int32(s.imm)
+				break run
+			case opBrCC:
+				if s.cond.Eval(flagImage(m, s.ra)) {
+					pc = int32(s.imm)
+					break run
+				}
+			case opBrNZ:
+				if r[s.ra] != 0 {
+					pc = int32(s.imm)
+					break run
+				}
+			case opExit:
+				if s.commit {
+					m.commit()
+				}
+				return m.ExitOutcome(int(s.imm), 0, false)
+			case opExitInd:
+				target := r[s.ra] // read before commit, like Exec's atom pass
+				if s.commit {
+					m.commit()
+				}
+				return m.ExitOutcome(int(s.imm), target, true)
+			case opCommit:
+				m.commit()
+				m.CommittedEIP = s.imm
 
-// fuseRun welds a straight-line run of molecules into one flat closure.
-// bodies[k] is the base closure for molecule first+k; all but the last fall
-// through. A body that leaves the straight line (a fallback molecule
-// branching, or the terminal control molecule resolving) returns its target
-// to the dispatch loop; between bodies the inter-molecule boundary —
-// interrupt window, then molecule count — runs inline, exactly as
-// ExecCompiled would perform it.
-func fuseRun(bodies []compiledMol, first int32) compiledMol {
-	last := len(bodies) - 1
-	return func(m *Machine) int32 {
-		pc := first
-		for k := 0; ; k++ {
-			r := bodies[k](m)
-			if k == last || r != pc+1 {
-				return r
+			case opExact:
+				next, o := m.ExecMoleculeExact(&cc.code.Mols[s.imm], int32(s.imm)+1)
+				if o != nil {
+					return o
+				}
+				if next != int32(s.imm)+1 {
+					pc = next
+					break run
+				}
 			}
-			pc = r
-			if m.IRQ != nil && m.IRQ.HasPending() && m.Shadow[RFlags]&guest.FlagIF != 0 {
-				m.rollback()
-				m.cout = Outcome{Fault: FIRQ, Exit: -1, GIdx: -1}
-				return ccDone
+			if s.eom == 0 {
+				continue
+			}
+			// Straight on into the next molecule: the same boundary, inline.
+			if m.irqPending() {
+				return m.irqOutcome()
+			}
+			if s.eom == eomLast {
+				return m.BadPC(int32(len(entry)))
 			}
 			m.Mols++
 		}
 	}
 }
 
-// compileMol builds the closure for one molecule. next is the fall-through
-// molecule index; nmols bounds static branch targets.
-func (cc *CompiledCode) compileMol(mol *Molecule, next, nmols int32) compiledMol {
-	// A specialized molecule needs: at most one control atom, no
-	// read-after-write hazard (every atom reads pre-molecule state in Exec),
-	// no mid-molecule commit reordering, and only ops the builder knows.
-	nctrl := 0
-	ctrlIdx := -1
-	for i := range mol.Atoms {
-		switch mol.Atoms[i].Op {
-		case ABr, ABrCC, ABrNZ, AExit, AExitInd, ACommit:
-			nctrl++
-			ctrlIdx = i
-		}
+// Compile builds the step-array form of code. It never fails: any molecule
+// it cannot specialize becomes one step with the exact interpreted
+// semantics, so Compile(code) and code itself are always behaviorally
+// interchangeable.
+func Compile(code *Code) *CompiledCode {
+	if code == nil {
+		return nil
 	}
-	if nctrl > 1 || molHazard(mol) || !commitSafe(mol, ctrlIdx) {
-		cc.fallbacks++
-		return fallbackMol(mol, next)
+	nsteps := 0
+	for i := range code.Mols {
+		nsteps += max(1, len(code.Mols[i].Atoms))
 	}
+	cc := &CompiledCode{code: code, steps: make([]step, 0, nsteps), entry: make([]int32, len(code.Mols))}
+	for i := range code.Mols {
+		cc.entry[i] = int32(len(cc.steps))
+		cc.compileMol(i)
+	}
+	return cc
+}
 
-	var fns []atomFn
-	for i := range mol.Atoms {
+// compileMol appends the steps of molecule idx.
+func (cc *CompiledCode) compileMol(idx int) {
+	mol := &cc.code.Mols[idx]
+	start := len(cc.steps)
+	ctrlIdx, ok := SpecializableMol(mol)
+	for i := 0; ok && i < len(mol.Atoms); i++ {
 		a := &mol.Atoms[i]
 		if i == ctrlIdx || a.Op == ANop {
 			continue
 		}
-		fn := compileAtom(a)
-		if fn == nil { // unknown op: preserve execAtom's fault behavior
-			cc.fallbacks++
-			return fallbackMol(mol, next)
+		var s step
+		if s, ok = compileAtom(a); ok {
+			cc.steps = append(cc.steps, s)
 		}
-		fns = append(fns, fn)
 	}
-	var ctrl ctrlFn
-	if ctrlIdx >= 0 {
-		ctrl = compileCtrl(&mol.Atoms[ctrlIdx], next, nmols)
+	switch {
+	case !ok:
+		// Unknown ops included: execAtom owns their fault behavior.
+		cc.fallbacks++
+		cc.steps = append(cc.steps[:start], step{op: opExact, imm: uint32(idx)})
+	case ctrlIdx >= 0:
+		cc.steps = append(cc.steps, compileCtrl(&mol.Atoms[ctrlIdx]))
+	case len(cc.steps) == start:
+		cc.steps = append(cc.steps, step{op: opNop})
 	}
-	cc.specialized++
-	return assembleMol(fns, ctrl, next)
+	last := &cc.steps[len(cc.steps)-1]
+	if idx == len(cc.entry)-1 {
+		last.eom = eomLast
+		return
+	}
+	last.eom = eomFall
+	if ctrlIdx < 0 {
+		cc.fused++
+	}
 }
 
 // molHazard reports whether any atom reads a register that an earlier atom
-// of the same molecule writes. Validated code never does (results have
-// latency >= 1), but Compile must behave identically even on code that was
-// never validated.
+// of the same molecule writes: the one case where writing registers as atoms
+// execute differs from Exec's deferred writes.
 func molHazard(mol *Molecule) bool {
 	var written uint64
 	var regBuf [4]HReg
@@ -311,259 +420,52 @@ func commitSafe(mol *Molecule, ctrlIdx int) bool {
 	return true
 }
 
-// assembleMol threads the atom closures and the control resolution into one
-// molecule closure, unrolled for the issue widths that actually occur.
-func assembleMol(fns []atomFn, ctrl ctrlFn, next int32) compiledMol {
-	if ctrl == nil {
-		ctrl = func(*Machine) int32 { return next }
-	}
-	switch len(fns) {
-	case 0:
-		return func(m *Machine) int32 { return ctrl(m) }
-	case 1:
-		f0 := fns[0]
-		return func(m *Machine) int32 {
-			if o := f0(m); o != nil {
-				m.cout = *o
-				return ccDone
-			}
-			return ctrl(m)
-		}
-	case 2:
-		f0, f1 := fns[0], fns[1]
-		return func(m *Machine) int32 {
-			if o := f0(m); o != nil {
-				m.cout = *o
-				return ccDone
-			}
-			if o := f1(m); o != nil {
-				m.cout = *o
-				return ccDone
-			}
-			return ctrl(m)
-		}
-	case 3:
-		f0, f1, f2 := fns[0], fns[1], fns[2]
-		return func(m *Machine) int32 {
-			if o := f0(m); o != nil {
-				m.cout = *o
-				return ccDone
-			}
-			if o := f1(m); o != nil {
-				m.cout = *o
-				return ccDone
-			}
-			if o := f2(m); o != nil {
-				m.cout = *o
-				return ccDone
-			}
-			return ctrl(m)
-		}
-	default:
-		return func(m *Machine) int32 {
-			for _, f := range fns {
-				if o := f(m); o != nil {
-					m.cout = *o
-					return ccDone
-				}
-			}
-			return ctrl(m)
-		}
-	}
-}
-
-// fallbackMol is the exact-semantics closure: it runs the molecule through
-// execAtom with Exec's deferred-write slots and control resolution, so any
-// molecule shape the specializer declines still behaves identically to the
-// interpreter.
-func fallbackMol(mol *Molecule, next int32) compiledMol {
-	return func(m *Machine) int32 {
-		const maxWidth = 16
-		var fixed [maxWidth]atomResult
-		results := fixed[:]
-		n := len(mol.Atoms)
-		if n > maxWidth {
-			results = make([]atomResult, n)
-		}
-		for i := 0; i < n; i++ {
-			if fault := m.execAtom(&mol.Atoms[i], &results[i]); fault != nil {
-				m.cout = *fault
-				return ccDone
-			}
-		}
-		for i := 0; i < n; i++ {
-			for w := 0; w < results[i].nw; w++ {
-				m.Regs[results[i].writes[w].reg] = results[i].writes[w].val
-			}
-		}
-		nx := next
-		for i := 0; i < n; i++ {
-			if results[i].exits {
-				if mol.Atoms[i].Commit {
-					m.commit()
-				}
-				return m.coutExit(results[i].exit, results[i].indTarget, results[i].indirect)
-			}
-			if results[i].branch {
-				nx = results[i].target
-				if nx == ccDone {
-					nx = ccBadPC // garbage target; fault out of range, not "done"
-				}
-			}
-		}
-		return nx
-	}
-}
-
-// coutExit fills the pending Outcome for a normal exit without touching the
-// Err pointer (see ExecCompiled: whole-struct assignment would cost a GC
-// write barrier per execution) and returns the ccDone sentinel.
-func (m *Machine) coutExit(exit int, indTarget uint32, indirect bool) int32 {
-	m.cout.Fault = FNone
-	m.cout.Exit = exit
-	m.cout.IndTarget = indTarget
-	m.cout.Indirect = indirect
-	m.cout.GuestVec = 0
-	m.cout.Addr = 0
-	m.cout.GIdx = -1
-	return ccDone
-}
-
-// staticTarget maps a compile-time branch target to what the closure should
-// return: the target itself, or ccBadPC for garbage that would collide with
-// the ccDone sentinel.
-func staticTarget(t int32) int32 {
-	if t == ccDone {
-		return ccBadPC
-	}
-	return t
-}
-
-// compileCtrl builds the control-resolution closure for the molecule's
-// single branch-unit atom.
-func compileCtrl(a *Atom, next, nmols int32) ctrlFn {
+// compileCtrl builds the step for the molecule's single branch-unit atom.
+func compileCtrl(a *Atom) step {
+	s := step{imm: a.Imm, ra: a.Ra, commit: a.Commit}
 	switch a.Op {
 	case ABr:
-		target := staticTarget(a.Target)
-		return func(*Machine) int32 { return target }
+		s.op, s.imm = opBr, uint32(a.Target)
 	case ABrCC:
-		target := staticTarget(a.Target)
-		cond := a.Cond
-		fs := FlagSrc(*a)
-		if fs == RFlags {
-			return func(m *Machine) int32 {
-				if cond.Eval(m.Regs[RFlags]) {
-					return target
-				}
-				return next
-			}
-		}
-		return func(m *Machine) int32 {
-			flags := m.Regs[fs]&^guest.FlagIF | m.Regs[RFlags]&guest.FlagIF
-			if cond.Eval(flags) {
-				return target
-			}
-			return next
-		}
+		s.op, s.imm, s.ra, s.cond = opBrCC, uint32(a.Target), FlagSrc(*a), a.Cond
 	case ABrNZ:
-		target := staticTarget(a.Target)
-		ra := a.Ra
-		return func(m *Machine) int32 {
-			if m.Regs[ra] != 0 {
-				return target
-			}
-			return next
-		}
+		s.op, s.imm = opBrNZ, uint32(a.Target)
 	case AExit:
-		exit := int(a.Imm)
-		if a.Commit {
-			return func(m *Machine) int32 {
-				m.commit()
-				return m.coutExit(exit, 0, false)
-			}
-		}
-		return func(m *Machine) int32 {
-			return m.coutExit(exit, 0, false)
-		}
+		s.op = opExit
 	case AExitInd:
-		exit := int(a.Imm)
-		ra := a.Ra
-		commit := a.Commit
-		return func(m *Machine) int32 {
-			target := m.Regs[ra] // read before commit, like Exec's atom pass
-			if commit {
-				m.commit()
-			}
-			return m.coutExit(exit, target, true)
-		}
+		s.op = opExitInd
 	case ACommit:
-		eip := a.Imm
-		return func(m *Machine) int32 {
-			m.commit()
-			m.CommittedEIP = eip
-			return next
-		}
+		s.op = opCommit
 	}
-	return func(*Machine) int32 { return next }
+	return s
 }
 
-// compileAtom builds the specialized closure for one non-control atom, with
-// every operand pre-resolved. It returns nil for ops it does not know (the
-// molecule then takes the fallback path).
-func compileAtom(a *Atom) atomFn {
+// compileAtom builds the step for one non-control atom, with every operand
+// pre-resolved. ok is false for ops it does not know (the molecule then
+// takes the exact step).
+func compileAtom(a *Atom) (s step, ok bool) {
+	if int(a.Op) < len(inlineOp) && inlineOp[a.Op] != opFn {
+		return step{op: inlineOp[a.Op], rd: a.Rd, ra: a.Ra, rb: a.Rb, imm: a.Imm}, true
+	}
+	switch {
+	case a.Op == ALd && a.Size == 4:
+		s = step{op: opLd4, rd: a.Rd, ra: a.Ra, imm: a.Imm, prot: a.ProtIdx}
+	case a.Op == ASt && a.Size == 4 && a.CheckMask == 0:
+		s = step{op: opSt4, ra: a.Ra, rb: a.Rb, imm: a.Imm}
+	}
+	s.fn = atomClosure(a)
+	return s, s.fn != nil
+}
+
+// atomClosure builds the specialized closure for one atom that is not
+// dispatched inline. It returns nil for ops it does not know.
+func atomClosure(a *Atom) atomFn {
 	rd, rd2, ra, rb, rc := a.Rd, a.Rd2, a.Ra, a.Rb, a.Rc
 	imm := a.Imm
 	gi := int(a.GIdx)
 	fs, fd := FlagSrc(*a), FlagDst(*a)
-	renamed := fs != RFlags // flag image renamed: merge IF from RFlags
 
-	// readFlags is inlined into each flag-consuming closure via the renamed
-	// branch; the bool is loop-invariant and perfectly predicted.
 	switch a.Op {
-	case AMovI:
-		return func(m *Machine) *Outcome { m.Regs[rd] = imm; return nil }
-	case AMov:
-		return func(m *Machine) *Outcome { m.Regs[rd] = m.Regs[ra]; return nil }
-
-	case AAdd:
-		return func(m *Machine) *Outcome { m.Regs[rd] = m.Regs[ra] + m.Regs[rb]; return nil }
-	case AAddI:
-		return func(m *Machine) *Outcome { m.Regs[rd] = m.Regs[ra] + imm; return nil }
-	case ASub:
-		return func(m *Machine) *Outcome { m.Regs[rd] = m.Regs[ra] - m.Regs[rb]; return nil }
-	case ASubI:
-		return func(m *Machine) *Outcome { m.Regs[rd] = m.Regs[ra] - imm; return nil }
-	case AAnd:
-		return func(m *Machine) *Outcome { m.Regs[rd] = m.Regs[ra] & m.Regs[rb]; return nil }
-	case AAndI:
-		return func(m *Machine) *Outcome { m.Regs[rd] = m.Regs[ra] & imm; return nil }
-	case AOr:
-		return func(m *Machine) *Outcome { m.Regs[rd] = m.Regs[ra] | m.Regs[rb]; return nil }
-	case AOrI:
-		return func(m *Machine) *Outcome { m.Regs[rd] = m.Regs[ra] | imm; return nil }
-	case AXor:
-		return func(m *Machine) *Outcome { m.Regs[rd] = m.Regs[ra] ^ m.Regs[rb]; return nil }
-	case AXorI:
-		return func(m *Machine) *Outcome { m.Regs[rd] = m.Regs[ra] ^ imm; return nil }
-	case AShl:
-		return func(m *Machine) *Outcome { m.Regs[rd] = m.Regs[ra] << (m.Regs[rb] & 31); return nil }
-	case AShlI:
-		sh := imm & 31
-		return func(m *Machine) *Outcome { m.Regs[rd] = m.Regs[ra] << sh; return nil }
-	case AShr:
-		return func(m *Machine) *Outcome { m.Regs[rd] = m.Regs[ra] >> (m.Regs[rb] & 31); return nil }
-	case AShrI:
-		sh := imm & 31
-		return func(m *Machine) *Outcome { m.Regs[rd] = m.Regs[ra] >> sh; return nil }
-	case ASar:
-		return func(m *Machine) *Outcome {
-			m.Regs[rd] = uint32(int32(m.Regs[ra]) >> (m.Regs[rb] & 31))
-			return nil
-		}
-	case ASarI:
-		sh := imm & 31
-		return func(m *Machine) *Outcome { m.Regs[rd] = uint32(int32(m.Regs[ra]) >> sh); return nil }
-
 	// Flag-computing ALU: result and EFLAGS image in one fused closure.
 	case AAddCC, AAddICC, ASubCC, ASubICC, AShlCC, AShlICC,
 		AShrCC, AShrICC, ASarCC, ASarICC:
@@ -587,14 +489,14 @@ func compileAtom(a *Atom) atomFn {
 		}
 		if immForm {
 			return func(m *Machine) *Outcome {
-				res, f := alu(flagImage(m, fs, renamed), m.Regs[ra], imm)
+				res, f := alu(flagImage(m, fs), m.Regs[ra], imm)
 				m.Regs[rd] = res
 				m.Regs[fd] = f
 				return nil
 			}
 		}
 		return func(m *Machine) *Outcome {
-			res, f := alu(flagImage(m, fs, renamed), m.Regs[ra], m.Regs[rb])
+			res, f := alu(flagImage(m, fs), m.Regs[ra], m.Regs[rb])
 			m.Regs[rd] = res
 			m.Regs[fd] = f
 			return nil
@@ -617,7 +519,7 @@ func compileAtom(a *Atom) atomFn {
 		if immForm {
 			return func(m *Machine) *Outcome {
 				res := logic(m.Regs[ra], imm)
-				f := guest.FlagsLogic(flagImage(m, fs, renamed), res)
+				f := guest.FlagsLogic(flagImage(m, fs), res)
 				m.Regs[rd] = res
 				m.Regs[fd] = f
 				return nil
@@ -625,7 +527,7 @@ func compileAtom(a *Atom) atomFn {
 		}
 		return func(m *Machine) *Outcome {
 			res := logic(m.Regs[ra], m.Regs[rb])
-			f := guest.FlagsLogic(flagImage(m, fs, renamed), res)
+			f := guest.FlagsLogic(flagImage(m, fs), res)
 			m.Regs[rd] = res
 			m.Regs[fd] = f
 			return nil
@@ -638,35 +540,35 @@ func compileAtom(a *Atom) atomFn {
 		}
 		if a.Op == AAdcICC || a.Op == ASbbICC {
 			return func(m *Machine) *Outcome {
-				res, f := alu(flagImage(m, fs, renamed), m.Regs[ra], imm)
+				res, f := alu(flagImage(m, fs), m.Regs[ra], imm)
 				m.Regs[rd] = res
 				m.Regs[fd] = f
 				return nil
 			}
 		}
 		return func(m *Machine) *Outcome {
-			res, f := alu(flagImage(m, fs, renamed), m.Regs[ra], m.Regs[rb])
+			res, f := alu(flagImage(m, fs), m.Regs[ra], m.Regs[rb])
 			m.Regs[rd] = res
 			m.Regs[fd] = f
 			return nil
 		}
 	case AIncCC:
 		return func(m *Machine) *Outcome {
-			res, f := guest.FlagsInc(flagImage(m, fs, renamed), m.Regs[ra])
+			res, f := guest.FlagsInc(flagImage(m, fs), m.Regs[ra])
 			m.Regs[rd] = res
 			m.Regs[fd] = f
 			return nil
 		}
 	case ADecCC:
 		return func(m *Machine) *Outcome {
-			res, f := guest.FlagsDec(flagImage(m, fs, renamed), m.Regs[ra])
+			res, f := guest.FlagsDec(flagImage(m, fs), m.Regs[ra])
 			m.Regs[rd] = res
 			m.Regs[fd] = f
 			return nil
 		}
 	case ANegCC:
 		return func(m *Machine) *Outcome {
-			res, f := guest.FlagsNeg(flagImage(m, fs, renamed), m.Regs[ra])
+			res, f := guest.FlagsNeg(flagImage(m, fs), m.Regs[ra])
 			m.Regs[rd] = res
 			m.Regs[fd] = f
 			return nil
@@ -674,14 +576,14 @@ func compileAtom(a *Atom) atomFn {
 
 	case AImulCC:
 		return func(m *Machine) *Outcome {
-			res, f := guest.FlagsImul(flagImage(m, fs, renamed), m.Regs[ra], m.Regs[rb])
+			res, f := guest.FlagsImul(flagImage(m, fs), m.Regs[ra], m.Regs[rb])
 			m.Regs[rd] = res
 			m.Regs[fd] = f
 			return nil
 		}
 	case AMul64:
 		return func(m *Machine) *Outcome {
-			lo, hi, f := guest.FlagsMul(flagImage(m, fs, renamed), m.Regs[ra], m.Regs[rb])
+			lo, hi, f := guest.FlagsMul(flagImage(m, fs), m.Regs[ra], m.Regs[rb])
 			m.Regs[rd] = lo
 			m.Regs[rd2] = hi
 			m.Regs[fd] = f
@@ -712,7 +614,7 @@ func compileAtom(a *Atom) atomFn {
 		cond := a.Cond
 		return func(m *Machine) *Outcome {
 			v := uint32(0)
-			if cond.Eval(flagImage(m, fs, renamed)) {
+			if cond.Eval(flagImage(m, fs)) {
 				v = 1
 			}
 			m.Regs[rd] = v
@@ -735,7 +637,7 @@ func compileAtom(a *Atom) atomFn {
 		}
 	case AOut:
 		return func(m *Machine) *Outcome {
-			m.sb = append(m.sb, sbEntry{kind: sbOut, addr: imm, val: m.Regs[rb], size: 4})
+			m.gate(sbOut, imm, m.Regs[rb], 4)
 			return nil
 		}
 	}
@@ -745,8 +647,8 @@ func compileAtom(a *Atom) atomFn {
 // flagImage reads the flag input execAtom would present: the (possibly
 // renamed) arithmetic bits with the IF bit always taken from the
 // architectural RFlags.
-func flagImage(m *Machine, fs HReg, renamed bool) uint32 {
-	if !renamed {
+func flagImage(m *Machine, fs HReg) uint32 {
+	if fs == RFlags {
 		return m.Regs[RFlags]
 	}
 	return m.Regs[fs]&^guest.FlagIF | m.Regs[RFlags]&guest.FlagIF
@@ -767,40 +669,38 @@ func compileLoad(a *Atom) atomFn {
 		addr := m.Regs[ra] + imm
 		// Single present non-MMIO page: CheckRead is nil and the value comes
 		// from RAM (through the store buffer); skip the per-check page walks.
-		if m.Bus.FastRead(addr, usize) {
-			m.Regs[rd] = m.sbLoad(addr, size)
-			if protIdx != NoAliasIdx {
-				m.alias[protIdx] = aliasEntry{addr: addr, size: size, epoch: m.aliasEpoch}
+		if !m.Bus.FastRead(addr, usize) {
+			if gf := m.Bus.CheckRead(addr, sizeInt); gf != nil {
+				return m.fault(FGuest, gi, addr, gf.Vector)
 			}
-			return nil
+			if m.Bus.IsMMIO(addr) {
+				if reordered {
+					return m.fault(FMMIOSpec, gi, addr, 0)
+				}
+				if m.pendingIO() {
+					return m.fault(FMMIOOrder, gi, addr, 0)
+				}
+				if size == 1 {
+					m.Regs[rd] = uint32(m.Bus.Read8(addr))
+				} else {
+					m.Regs[rd] = m.Bus.Read32(addr)
+				}
+				if protIdx != NoAliasIdx {
+					m.RecordAlias(protIdx, addr, size)
+				}
+				return nil
+			}
 		}
-		if gf := m.Bus.CheckRead(addr, sizeInt); gf != nil {
-			return m.fault(FGuest, gi, addr, gf.Vector)
-		}
-		if m.Bus.IsMMIO(addr) {
-			if reordered {
-				return m.fault(FMMIOSpec, gi, addr, 0)
-			}
-			if m.pendingIO() {
-				return m.fault(FMMIOOrder, gi, addr, 0)
-			}
-			if size == 1 {
-				m.Regs[rd] = uint32(m.Bus.Read8(addr))
-			} else {
-				m.Regs[rd] = m.Bus.Read32(addr)
-			}
-		} else {
-			m.Regs[rd] = m.sbLoad(addr, size)
-		}
+		m.Regs[rd] = m.sbLoad(addr, size)
 		if protIdx != NoAliasIdx {
-			m.alias[protIdx] = aliasEntry{addr: addr, size: size, epoch: m.aliasEpoch}
+			m.RecordAlias(protIdx, addr, size)
 		}
 		return nil
 	}
 }
 
 // compileStore specializes ASt with the alias-check mask resolved at compile
-// time; the mask-free variant skips the check loop entirely.
+// time.
 func compileStore(a *Atom) atomFn {
 	ra, rb := a.Ra, a.Rb
 	imm := a.Imm
@@ -810,67 +710,28 @@ func compileStore(a *Atom) atomFn {
 	usize := uint32(a.Size)
 	reordered := a.Reordered
 	checkMask := a.CheckMask
-	if checkMask == 0 {
-		return func(m *Machine) *Outcome {
-			addr := m.Regs[ra] + imm
-			// Single present writable non-MMIO unprotected page: CheckWrite
-			// and CheckProt are both nil with no side effects.
-			if m.Bus.FastWrite(addr, usize) {
-				m.sb = append(m.sb, sbEntry{kind: sbRAM, addr: addr, val: m.Regs[rb], size: size})
-				return nil
-			}
+	return func(m *Machine) *Outcome {
+		addr := m.Regs[ra] + imm
+		kind := sbRAM
+		// Single present writable non-MMIO unprotected page: CheckWrite and
+		// CheckProt are both nil with no side effects.
+		if !m.Bus.FastWrite(addr, usize) {
 			if gf := m.Bus.CheckWrite(addr, sizeInt); gf != nil {
 				return m.fault(FGuest, gi, addr, gf.Vector)
 			}
-			isMMIO := m.Bus.IsMMIO(addr)
-			if isMMIO && reordered {
-				return m.fault(FMMIOSpec, gi, addr, 0)
-			}
-			kind := sbRAM
-			if isMMIO {
+			if m.Bus.IsMMIO(addr) {
+				if reordered {
+					return m.fault(FMMIOSpec, gi, addr, 0)
+				}
 				kind = sbMMIO
 			} else if hit := m.Bus.CheckProt(addr, sizeInt, mem.SrcCPU); hit != nil {
 				return m.fault(FProt, gi, addr, 0)
 			}
-			m.sb = append(m.sb, sbEntry{kind: kind, addr: addr, val: m.Regs[rb], size: size})
-			return nil
 		}
-	}
-	return func(m *Machine) *Outcome {
-		addr := m.Regs[ra] + imm
-		if m.Bus.FastWrite(addr, usize) {
-			for mask := checkMask; mask != 0; mask &= mask - 1 {
-				e := &m.alias[bits.TrailingZeros64(mask)]
-				if e.epoch == m.aliasEpoch && addr < e.addr+uint32(e.size) && e.addr < addr+usize {
-					return m.fault(FAlias, gi, addr, 0)
-				}
-			}
-			m.sb = append(m.sb, sbEntry{kind: sbRAM, addr: addr, val: m.Regs[rb], size: size})
-			return nil
+		if m.AliasConflict(checkMask, addr, size) {
+			return m.fault(FAlias, gi, addr, 0)
 		}
-		if gf := m.Bus.CheckWrite(addr, sizeInt); gf != nil {
-			return m.fault(FGuest, gi, addr, gf.Vector)
-		}
-		isMMIO := m.Bus.IsMMIO(addr)
-		if isMMIO && reordered {
-			return m.fault(FMMIOSpec, gi, addr, 0)
-		}
-		if !isMMIO {
-			if hit := m.Bus.CheckProt(addr, sizeInt, mem.SrcCPU); hit != nil {
-				return m.fault(FProt, gi, addr, 0)
-			}
-		}
-		for mask := checkMask; mask != 0; mask &= mask - 1 {
-			e := &m.alias[bits.TrailingZeros64(mask)]
-			if e.epoch == m.aliasEpoch && addr < e.addr+uint32(e.size) && e.addr < addr+usize {
-				return m.fault(FAlias, gi, addr, 0)
-			}
-		}
-		kind := sbRAM
-		if isMMIO {
-			kind = sbMMIO
-		}
-		m.sb = append(m.sb, sbEntry{kind: kind, addr: addr, val: m.Regs[rb], size: size})
+		m.gate(kind, addr, m.Regs[rb], size)
 		return nil
 	}
 }

@@ -54,8 +54,14 @@ func runDiff(t *testing.T, code *Code, setup diffSetup) (Outcome, *Machine) {
 	if mi.CommittedEIP != mc.CommittedEIP {
 		t.Fatalf("committed eip mismatch: interp %#x, compiled %#x", mi.CommittedEIP, mc.CommittedEIP)
 	}
-	// Shadowed working registers must match too (rollback restores them).
-	for r := 0; r < NumShadowed; r++ {
+	// Shadowed working registers must match too (rollback restores them);
+	// temporaries only when nothing faulted (see the fault-path divergence
+	// compile.go tolerates by design).
+	nregs := NumShadowed
+	if oi.Fault == FNone {
+		nregs = NumHRegs
+	}
+	for r := 0; r < nregs; r++ {
 		if mi.Regs[r] != mc.Regs[r] {
 			t.Fatalf("working r%d mismatch: interp %#x, compiled %#x", r, mi.Regs[r], mc.Regs[r])
 		}
@@ -159,6 +165,77 @@ func TestCompiledBranchIntoFusedSuccessor(t *testing.T) {
 	cc := Compile(code)
 	if cc.Fused() == 0 {
 		t.Error("expected mol 2/3 to fuse")
+	}
+}
+
+// irqOnRead is a port device whose read raises the timer interrupt: the one
+// way an interrupt can become pending in the middle of a straight-line run.
+type irqOnRead struct{ irq *dev.IRQController }
+
+func (d irqOnRead) PortRead(uint16) uint32 {
+	if d.irq != nil {
+		d.irq.Raise(dev.IRQTimer)
+	}
+	return 7
+}
+func (d irqOnRead) PortWrite(uint16, uint32) {}
+
+// TestCompiledEveryRunEntry jumps into every molecule of one seven-molecule
+// straight-line run — register atoms, a gated store and the load it forwards
+// to, an empty molecule, a port read, a hazard molecule that takes the exact
+// step — and past both ends of the code, with and without an interrupt that
+// becomes pending halfway down the run. Every entry is an offset into the
+// same step array, so each must see the molecule boundaries (interrupt
+// window, count) the interpreter performs from there on.
+func TestCompiledEveryRunEntry(t *testing.T) {
+	const port = 0x70
+	eax, ebx, t0, t1 := GuestReg(guest.EAX), GuestReg(guest.EBX), RTempBase, RTempBase+1
+	build := func(entry int32) *Code {
+		return &Code{NumExits: 1, Mols: []Molecule{
+			mol(Atom{Op: ABr, Target: entry}), // 0: dispatcher
+			mol(Atom{Op: AAddI, Rd: eax, Ra: eax, Imm: 1}, Atom{Op: AMovI, Rd: t0, Imm: 0x2000}), // 1
+			mol(Atom{Op: ASt, Ra: t0, Rb: eax, Size: 4}),                                         // 2
+			mol(),                                 // 3
+			mol(Atom{Op: AIn, Rd: t1, Imm: port}), // 4: may raise the IRQ
+			mol(Atom{Op: AMovI, Rd: ebx, Imm: 5}, Atom{Op: AAddI, Rd: ebx, Ra: ebx, Imm: 1}),         // 5: hazard
+			mol(Atom{Op: ALd, Rd: t1, Ra: t0, Size: 4, ProtIdx: NoAliasIdx}),                         // 6
+			mol(Atom{Op: AShlI, Rd: eax, Ra: eax, Imm: 3}, Atom{Op: AXor, Rd: ebx, Ra: ebx, Rb: t1}), // 7
+			exitMol(), // 8
+		}}
+	}
+	if cc := Compile(build(1)); cc.Len() != 9 || cc.Fused() != 7 || cc.Fallbacks() != 1 {
+		t.Fatalf("len/fused/fallbacks = %d/%d/%d, want 9/7/1", cc.Len(), cc.Fused(), cc.Fallbacks())
+	}
+	for _, armed := range []bool{false, true} {
+		for entry := int32(-1); entry <= 9; entry++ {
+			if entry == 0 {
+				continue // the dispatcher branching to itself never ends
+			}
+			out, m := runDiff(t, build(entry), func(m *Machine, bus *mem.Bus) {
+				regs := [guest.NumRegs]uint32{guest.EAX: 0x10, guest.EBX: 0x20}
+				m.LoadGuest(&regs, guest.FlagsAlways|guest.FlagIF, 0x1000)
+				m.IRQ = &dev.IRQController{}
+				d := irqOnRead{}
+				if armed {
+					d.irq = m.IRQ
+				}
+				bus.MapPort(port, port, d)
+			})
+			want := FNone
+			switch {
+			case entry < 0 || entry > 8:
+				want = FBadCode
+			case armed && entry <= 4:
+				want = FIRQ
+			}
+			if out.Fault != want {
+				t.Fatalf("armed %v, entry %d: fault %v, want %v", armed, entry, out.Fault, want)
+			}
+			// Molecules from the entry to the exit, plus the dispatcher.
+			if wantMols := uint64(10 - entry); want == FNone && m.Mols != wantMols {
+				t.Fatalf("armed %v, entry %d: %d molecules, want %d", armed, entry, m.Mols, wantMols)
+			}
+		}
 	}
 }
 
@@ -328,7 +405,7 @@ func TestCompiledMidBodyCommit(t *testing.T) {
 	}
 	cc := Compile(mixed)
 	if cc.Fallbacks() == 0 {
-		t.Error("commit+write molecule should take the fallback closure")
+		t.Error("commit+write molecule should take the exact step")
 	}
 	out, m = runDiff(t, mixed, nil)
 	if out.Fault != FNone {
@@ -409,7 +486,7 @@ func TestCompiledHazardTakesFallback(t *testing.T) {
 	}
 	cc := Compile(code)
 	if cc.Fallbacks() == 0 {
-		t.Error("hazard molecule should take the fallback closure")
+		t.Error("hazard molecule should take the exact step")
 	}
 	out, m := runDiff(t, code, nil)
 	if out.Fault != FNone {
@@ -555,4 +632,68 @@ func BenchmarkExecBackends(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkExecCompiled is the translated-execution line of the layer ledger
+// (vliw.texec_ns_per_mol) taken apart by what a molecule costs there:
+// alu_run is the step loop itself — a long straight-line run of register
+// atoms, the boundary inline at every mark; store_forward is the gated store
+// buffer — an exact-match forward, a partial overlap, a load the summary
+// mask lets through, and the commit that drains four words; and
+// short_exit_chain is what one execution costs around its molecules — entry,
+// exit, commit — on the two-molecule translations chained loops are made of.
+func BenchmarkExecCompiled(b *testing.B) {
+	eax, ebx, ecx, t0, t1 := GuestReg(guest.EAX), GuestReg(guest.EBX), GuestReg(guest.ECX), RTempBase, RTempBase+1
+	aluRun := &Code{NumExits: 1, Mols: []Molecule{mol(Atom{Op: AMovI, Rd: ecx, Imm: 64})}}
+	for i := 0; i < 8; i++ {
+		aluRun.Mols = append(aluRun.Mols, mol(
+			Atom{Op: AAddI, Rd: eax, Ra: eax, Imm: 3}, Atom{Op: AXor, Rd: ebx, Ra: ebx, Rb: ecx}))
+	}
+	aluRun.Mols = append(aluRun.Mols,
+		mol(Atom{Op: ADecCC, Rd: ecx, Ra: ecx}),
+		mol(Atom{Op: ABrCC, Cond: guest.CondNE, Target: 1}),
+		exitMol())
+
+	ld := func(rd HReg, imm uint32, size uint8) Atom {
+		return Atom{Op: ALd, Rd: rd, Ra: t0, Imm: imm, Size: size, ProtIdx: NoAliasIdx}
+	}
+	st := func(imm uint32) Atom { return Atom{Op: ASt, Ra: t0, Rb: eax, Imm: imm, Size: 4} }
+	storeForward := &Code{NumExits: 1, Mols: []Molecule{
+		mol(Atom{Op: AMovI, Rd: t0, Imm: 0x2000}, Atom{Op: AAddI, Rd: eax, Ra: eax, Imm: 1}),
+		mol(st(0)),
+		mol(ld(t1, 0, 4)), // exact match
+		mol(st(4)),
+		mol(ld(t1, 5, 1)), // partial overlap
+		mol(st(8)),
+		mol(ld(t1+1, 64, 4)), // the mask lets it through
+		mol(st(12)),
+		exitMol(),
+	}}
+
+	shortExit := &Code{NumExits: 1, Mols: []Molecule{
+		mol(Atom{Op: AAddI, Rd: eax, Ra: eax, Imm: 1}),
+		exitMol(),
+	}}
+
+	for _, bc := range []struct {
+		name string
+		code *Code
+	}{{"alu_run", aluRun}, {"store_forward", storeForward}, {"short_exit_chain", shortExit}} {
+		b.Run(bc.name, func(b *testing.B) {
+			if err := bc.code.Validate(); err != nil {
+				b.Fatal(err)
+			}
+			cc := Compile(bc.code)
+			m := NewMachine(mem.NewBus(1 << 20))
+			var regs [guest.NumRegs]uint32
+			m.LoadGuest(&regs, guest.FlagsAlways, 0)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if out := m.ExecCompiled(cc); out.Fault != FNone {
+					b.Fatal(out)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(m.Mols), "ns/mol")
+		})
+	}
 }

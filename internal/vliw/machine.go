@@ -78,10 +78,10 @@ const (
 )
 
 type sbEntry struct {
-	kind sbKind
 	addr uint32 // address or port
 	val  uint32
 	size uint8
+	kind sbKind
 }
 
 // aliasEntry is one translator-managed protect slot. An entry is live when
@@ -114,7 +114,17 @@ type Machine struct {
 
 	alias      [AliasTableSize]aliasEntry
 	aliasEpoch uint64
-	sb         []sbEntry
+
+	// The gated store buffer. gate is its only writer and dropGated its only
+	// way to empty, which is what keeps the two summaries exact.
+	sb []sbEntry
+	// sbMask summarizes the buffered RAM stores: bit (a>>2)&63 is set for
+	// every word any of them touches. A load whose words miss the mask
+	// overlaps nothing buffered and never scans; a hit may be a collision
+	// (words 256 bytes apart share a bit), which the scan resolves.
+	sbMask uint64
+	// sbIO counts the buffered MMIO stores and OUTs.
+	sbIO int
 
 	// Counters.
 	Mols      uint64 // dynamic molecules executed (the paper's metric)
@@ -132,9 +142,9 @@ type Machine struct {
 	// irrevocable I/O.
 	CommittedEIP uint32
 
-	// cout is the pending outcome slot of the compiled backend: a molecule
-	// closure that exits or faults stores the outcome here and returns the
-	// ccDone sentinel (see compile.go). Keeping the slot on the machine keeps
+	// cout is the outcome slot of the compiled backends: ExecCompiled and
+	// risc.Exec return a pointer to it for every outcome but an atom's fault
+	// (which Machine.fault allocates). Keeping the slot on the machine keeps
 	// the compiled hot path free of per-exit allocations, mirroring how Exec
 	// returns its Outcome by value.
 	cout Outcome
@@ -156,8 +166,7 @@ func (m *Machine) LoadGuest(regs *[guest.NumRegs]uint32, flags uint32, eip uint3
 	m.Regs[RZero] = 0
 	m.CommittedEIP = eip
 	copy(m.Shadow[:], m.Regs[:NumShadowed])
-	m.sb = m.sb[:0]
-	m.clearAlias()
+	m.dropGated()
 }
 
 // StoreGuest reads the committed guest state back out.
@@ -168,7 +177,27 @@ func (m *Machine) StoreGuest(regs *[guest.NumRegs]uint32, flags *uint32) {
 	*flags = m.Shadow[RFlags]
 }
 
-func (m *Machine) clearAlias() {
+// wordMask returns the sbMask bits of the words [addr, addr+size) touches.
+func wordMask(addr uint32, size uint8) uint64 {
+	return 1<<(addr>>2&63) | 1<<((addr+uint32(size)-1)>>2&63)
+}
+
+// gate appends one entry to the gated store buffer; it drains at the next
+// commit and vanishes on rollback.
+func (m *Machine) gate(kind sbKind, addr, val uint32, size uint8) {
+	m.sb = append(m.sb, sbEntry{addr: addr, val: val, size: size, kind: kind})
+	if kind == sbRAM {
+		m.sbMask |= wordMask(addr, size)
+	} else {
+		m.sbIO++
+	}
+}
+
+// dropGated empties the store buffer and the alias table: the speculative
+// state that never survives a commit, a rollback or LoadGuest.
+func (m *Machine) dropGated() {
+	m.sb = m.sb[:0]
+	m.sbMask, m.sbIO = 0, 0
 	m.aliasEpoch++
 }
 
@@ -178,19 +207,18 @@ func (m *Machine) clearAlias() {
 func (m *Machine) commit() {
 	copy(m.Shadow[:], m.Regs[:NumShadowed])
 	for _, e := range m.sb {
-		switch e.kind {
-		case sbRAM, sbMMIO:
-			if e.size == 1 {
-				m.Bus.Write8(e.addr, uint8(e.val))
-			} else {
-				m.Bus.Write32(e.addr, e.val)
-			}
-		case sbOut:
+		switch {
+		case e.kind == sbOut:
 			m.Bus.PortWrite(uint16(e.addr), e.val)
+		case e.size == 1:
+			m.Bus.Write8(e.addr, uint8(e.val))
+		case e.kind == sbRAM && m.Bus.StoreRAM32(e.addr, e.val):
+			// Validated as RAM when it was gated: no MMIO dispatch.
+		default:
+			m.Bus.Write32(e.addr, e.val)
 		}
 	}
-	m.sb = m.sb[:0]
-	m.clearAlias()
+	m.dropGated()
 	m.Commits++
 }
 
@@ -198,21 +226,13 @@ func (m *Machine) commit() {
 // working, gated stores dropped, alias table cleared.
 func (m *Machine) rollback() {
 	copy(m.Regs[:NumShadowed], m.Shadow[:])
-	m.sb = m.sb[:0]
-	m.clearAlias()
+	m.dropGated()
 	m.Rollbacks++
 	m.Mols += m.RollbackCost
 }
 
 // pendingIO reports whether gated I/O (MMIO stores or OUTs) is buffered.
-func (m *Machine) pendingIO() bool {
-	for _, e := range m.sb {
-		if e.kind != sbRAM {
-			return true
-		}
-	}
-	return false
-}
+func (m *Machine) pendingIO() bool { return m.sbIO != 0 }
 
 // sbLoad performs a RAM load that snoops the gated store buffer: younger
 // buffered bytes forward over memory contents.
@@ -223,15 +243,28 @@ func (m *Machine) sbLoad(addr uint32, size uint8) uint32 {
 	} else {
 		v = m.Bus.Read32(addr)
 	}
+	if m.sbMask&wordMask(addr, size) != 0 {
+		v = m.forward(addr, size, v)
+	}
+	return v
+}
+
+// forward applies the buffered RAM stores that overlap [addr, addr+size) to
+// v, the memory contents there, oldest first. Callers test sbMask first.
+func (m *Machine) forward(addr uint32, size uint8, v uint32) uint32 {
 	end := addr + uint32(size)
 	for _, e := range m.sb {
 		if e.kind != sbRAM || e.addr >= end || addr >= e.addr+uint32(e.size) {
 			continue
 		}
+		if e.addr == addr && e.size == 4 && size == 4 {
+			v = e.val // the whole word: no byte of v survives
+			continue
+		}
 		// Apply overlapping bytes of e onto the loaded window, in order.
 		for i := uint32(0); i < uint32(e.size); i++ {
 			b := e.addr + i
-			if b >= addr && b < addr+uint32(size) {
+			if b >= addr && b < end {
 				sh := 8 * (b - addr)
 				v = v&^(0xFF<<sh) | (uint32(uint8(e.val>>(8*i))) << sh)
 			}
@@ -287,9 +320,8 @@ func (m *Machine) Exec(code *Code) Outcome {
 	for {
 		// Interrupt window at molecule boundaries (§3.3): rollback and let
 		// the runtime deliver at the last committed boundary.
-		if m.IRQ != nil && m.IRQ.HasPending() && m.Shadow[RFlags]&guest.FlagIF != 0 {
-			m.rollback()
-			return Outcome{Fault: FIRQ, Exit: -1, GIdx: -1}
+		if m.irqPending() {
+			return *m.irqOutcome()
 		}
 		if pc < 0 || pc >= len(code.Mols) {
 			m.rollback()
@@ -552,7 +584,7 @@ func (m *Machine) execAtom(a *Atom, ar *atomResult) *Outcome {
 		if isMMIO {
 			kind = sbMMIO
 		}
-		m.sb = append(m.sb, sbEntry{kind: kind, addr: addr, val: r[a.Rb], size: a.Size})
+		m.gate(kind, addr, r[a.Rb], a.Size)
 
 	case AIn:
 		if m.pendingIO() {
@@ -560,7 +592,7 @@ func (m *Machine) execAtom(a *Atom, ar *atomResult) *Outcome {
 		}
 		ar.write(a.Rd, m.Bus.PortRead(uint16(a.Imm)))
 	case AOut:
-		m.sb = append(m.sb, sbEntry{kind: sbOut, addr: a.Imm, val: r[a.Rb], size: 4})
+		m.gate(sbOut, a.Imm, r[a.Rb], 4)
 
 	case ABr:
 		ar.branch, ar.target = true, a.Target

@@ -23,7 +23,7 @@ type Translation struct {
 	Code   *vliw.Code
 	Policy Policy
 
-	// Compiled is the closure-threaded form of Code, built on the pipeline
+	// Compiled is the step-array form of Code, built on the pipeline
 	// workers when the translator's CompileBackend is on and the backend is
 	// vliw. Nil means the engine interprets Code; the translation cache
 	// nils it when an entry is replaced in place so stale compiled code can
@@ -232,14 +232,14 @@ type Translator struct {
 	Host vliw.HostConfig
 
 	// CompileBackend makes Translate also compile the scheduled code into
-	// the backend's executable form — closure-threaded vliw.Compile by
+	// the backend's executable form — step-array vliw.Compile by
 	// default, risc.Lower when Backend is BackendRISC. The compile runs
 	// wherever Translate runs — on the pipeline workers in the concurrent
 	// configuration — keeping it off the engine thread.
 	CompileBackend bool
 
 	// Backend selects the code-gen backend for the executable form:
-	// BackendVLIW (or empty) for the closure-threaded vliw backend,
+	// BackendVLIW (or empty) for the step-array vliw backend,
 	// BackendRISC for the register-IR backend. The tag is part of
 	// Request.Key, so artifacts from different backends never dedup onto
 	// each other in a shared store.
@@ -313,7 +313,7 @@ type Request struct {
 }
 
 // Code-gen backend tags. The empty string and BackendVLIW are equivalent
-// everywhere: both select the closure-threaded vliw backend and both hash
+// everywhere: both select the step-array vliw backend and both hash
 // to the identical (untagged) content key, so pre-risc snapshots and
 // stores stay compatible.
 const (

@@ -21,7 +21,7 @@ go test -race ./...
 # The contracts below ran once already, under -race, in the full suite
 # above: the backend differential (identical state, Metrics and cache
 # statistics on every workload, executed interpretively, through the vliw
-# closures and through the risc register IR, sync and pipelined — plus its
+# step arrays and through the risc register IR, sync and pipelined — plus its
 # mutation test), internal/bench importing no clock, the farm differentials
 # (solo and in-farm runs byte-identical over the shared store, including
 # mixed vliw/risc farms), the sharded-store torture test, the
@@ -55,6 +55,13 @@ require_tests ./internal/bench/ TestBackendDifferential TestBackendDifferentialP
 require_tests ./internal/xlate/ TestTranslatorOutputDigest TestScratchPoolSafety \
 	TestTranslateAllocCeiling
 require_tests ./internal/mem/ FuzzBusResetComplete
+# The compiled executor's two structural licences — the gated store buffer
+# against a byte-map model (its summaries are exact, its forwarding right),
+# and every molecule of a run entered directly, with and without an interrupt
+# arriving mid-run — and the ceiling on what Compile allocates per atom
+# (skipped under -race; the coverage run of internal/vliw below executes it).
+require_tests ./internal/vliw/ TestStoreBufferModel TestCompiledEveryRunEntry \
+	TestCompileAllocCeiling
 
 # Tenant isolation is the one contract that IS run again by name: runners
 # recycle their guest RAM, and job B after job A (halted, panicked, retried,
@@ -113,6 +120,9 @@ cover_gate() {
 }
 cover_gate ./internal/cms/ 78.0
 cover_gate ./internal/xlate/ 80.0
+# The compiled executor (92.5% when its step loop went in); this run is also
+# what executes TestCompileAllocCeiling.
+cover_gate ./internal/vliw/ 88.0
 # The risc backend is held to a higher floor: it is a from-scratch second
 # executor whose only consumer protection is its tests (94%+ measured when
 # the gate was introduced).
