@@ -1,7 +1,7 @@
 // Command cmsfuzz drives the generative guest fuzzer: it sweeps seeds
 // through the differential oracle (internal/fuzzer) — interpreter, xlate,
-// compiled, the risc register-IR backend, pipelined, shared-store, and
-// snapshot legs, plus fault-injected variants under -inject — shrinks any
+// compiled, the risc register-IR backend, shared-store, and snapshot legs,
+// plus fault-injected variants under -inject — shrinks any
 // divergence to a minimal reproducer, and writes it to the corpus
 // directory. It also replays reproducer files and archives individual
 // seeds.

@@ -95,7 +95,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		backend     = flag.String("backend", "vliw", "code-gen backend: vliw (step-array) or risc (register IR, lazy EFLAGS)")
 		hot         = flag.Uint64("hot", 0, "translation threshold (0 = default)")
 		unroll      = flag.Int("unroll", 0, "region unroll factor (0 = default)")
-		workers     = flag.Int("workers", 0, "translation pipeline workers (0 = synchronous)")
 
 		showConsole = flag.Bool("console", true, "print guest console output")
 		verbose     = flag.Bool("v", false, "print the full metric breakdown")
@@ -143,7 +142,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *hot > 0 {
 		cfg.HotThreshold = *hot
 	}
-	cfg.PipelineWorkers = *workers
 	if *deadline > 0 {
 		var cancelled atomic.Bool
 		cfg.Cancel = cancelled.Load
@@ -225,10 +223,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			m.DispatchToTexec, m.ChainTransfers, m.LookupTransfers, m.DispatchReturns)
 		fmt.Fprintf(stdout, "indirect target cache: hits %d, misses %d\n",
 			m.IndirectHits, m.IndirectMisses)
-		if m.PipelineSubmits > 0 {
-			fmt.Fprintf(stdout, "pipeline: submits %d, installs %d, stale %d\n",
-				m.PipelineSubmits, m.PipelineInstalls, m.PipelineStale)
-		}
 		for c := vliw.FaultClass(1); c < 8; c++ {
 			if m.Faults[c] > 0 {
 				fmt.Fprintf(stdout, "faults[%s]: %d (adaptations %d)\n", c, m.Faults[c], m.Adaptations[c])

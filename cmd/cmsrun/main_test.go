@@ -123,6 +123,10 @@ func TestExitUsageErrors(t *testing.T) {
 	if code, _, _ := runCmsrun(t, "-no-such-flag"); code != exitUsage {
 		t.Errorf("bad flag: exit %d, want %d", code, exitUsage)
 	}
+	src := write(t, "p.s", ".org 0x1000\n_start:\n hlt\n")
+	if code, _, _ := runCmsrun(t, "-workers", "2", src); code != exitUsage {
+		t.Errorf("removed -workers flag: exit %d, want %d", code, exitUsage)
+	}
 }
 
 // TestCheckpointRestoreRoundtrip splits one run across -checkpoint and

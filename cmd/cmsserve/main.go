@@ -39,6 +39,7 @@
 // completion, then exits 0. With -checkpoint-drain DIR the drain instead
 // preempts in-flight jobs into snapshot envelopes written to DIR (one
 // <jobid>.cmssnap each), ready to POST to another instance's /v1/restore.
+// An unknown or malformed flag exits 1 before anything starts.
 package main
 
 import (
@@ -345,18 +346,22 @@ const (
 )
 
 func main() {
+	flag.CommandLine.Init(os.Args[0], flag.ContinueOnError)
 	addr := flag.String("addr", ":8086", "listen address")
 	vms := flag.Int("vms", 4, "concurrent guest VMs")
 	queue := flag.Int("queue", 64, "admission queue depth")
 	storeAtoms := flag.Int("store-atoms", 0, "shared store budget in code atoms (0 = default)")
-	pipeWorkers := flag.Int("pipeline-workers", 0, "translation pipeline workers per VM (0 = synchronous)")
 	incidentDir := flag.String("incidents", "", "directory for replayable incident bundles (empty = disabled)")
 	stormThreshold := flag.Uint("storm-threshold", 16, "rollback-storm quarantine threshold per shared artifact (0 = off)")
 	drainDir := flag.String("checkpoint-drain", "", "on SIGTERM, checkpoint in-flight jobs into this directory instead of running them out")
-	flag.Parse()
+	if err := flag.CommandLine.Parse(os.Args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			os.Exit(0)
+		}
+		os.Exit(1)
+	}
 
 	cfg := cms.DefaultConfig()
-	cfg.PipelineWorkers = *pipeWorkers
 	cfg.RollbackStormThreshold = uint32(*stormThreshold)
 	f := farm.New(farm.Config{
 		MaxVMs:        *vms,

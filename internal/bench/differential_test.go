@@ -102,8 +102,7 @@ func diffBackends(t *testing.T, w workload.Workload, cfg cms.Config) string {
 
 // TestBackendDifferential proves the interpretive, vliw and risc executors
 // are byte-for-byte equivalent on every workload kernel — including the SMC
-// and adaptive-retranslation workloads — under the default (synchronous)
-// configuration.
+// and adaptive-retranslation workloads — under the default configuration.
 func TestBackendDifferential(t *testing.T) {
 	for _, w := range kernels() {
 		t.Run(w.Name, func(t *testing.T) {
@@ -114,32 +113,13 @@ func TestBackendDifferential(t *testing.T) {
 	}
 }
 
-// TestBackendDifferentialPipelined repeats the differential over the
-// concurrent translation pipeline, where compilation happens on the worker
-// goroutines rather than the engine thread.
-func TestBackendDifferentialPipelined(t *testing.T) {
-	cfg := cms.DefaultConfig()
-	cfg.PipelineWorkers = 2
-	for _, w := range kernels() {
-		t.Run(w.Name, func(t *testing.T) {
-			if d := diffBackends(t, w, cfg); d != "" {
-				t.Error(d)
-			}
-		})
-	}
-}
-
 // TestBackendDifferentialCatchesWrongCarry is the mutation test for the risc
 // leg: with the lazy-flag materializer feeding ADC/SBB the wrong carry, the
-// differential must report a divergence, sync and pipelined.
+// differential must report a divergence.
 func TestBackendDifferentialCatchesWrongCarry(t *testing.T) {
 	risc.TestWrongCarry = true
 	defer func() { risc.TestWrongCarry = false }()
-	piped := cms.DefaultConfig()
-	piped.PipelineWorkers = 2
-	for _, cfg := range []cms.Config{cms.DefaultConfig(), piped} {
-		if diffBackends(t, carryChain, cfg) == "" {
-			t.Errorf("workers=%d: wrong-carry materializer went unnoticed", cfg.PipelineWorkers)
-		}
+	if diffBackends(t, carryChain, cms.DefaultConfig()) == "" {
+		t.Error("wrong-carry materializer went unnoticed")
 	}
 }

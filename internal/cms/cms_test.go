@@ -819,10 +819,9 @@ func TestTCacheFlushUnderPressure(t *testing.T) {
 	}
 }
 
-func TestJumpTableIndirectHotPath(t *testing.T) {
-	// A hot computed-goto interpreter loop: indirect exits every iteration
-	// (no chaining), still correct and still faster than interpretation.
-	src := `
+// jumpTableProg is a hot computed-goto interpreter loop: an indirect exit
+// every iteration.
+const jumpTableProg = `
 .org 0x1000
 _start:
 	mov ecx, 3000
@@ -855,14 +854,31 @@ next:
 table:
 	.dd op0, op1, op2, op3
 `
-	e := equiv(t, src, DefaultConfig())
+
+func TestJumpTableIndirectHotPath(t *testing.T) {
+	// Indirect exits every iteration (no chaining), still correct and still
+	// faster than interpretation.
+	e := equiv(t, jumpTableProg, DefaultConfig())
 	if e.Metrics.LookupTransfers == 0 {
 		t.Error("indirect exits never looked up successors")
 	}
-	ref := build(t, src, Config{NoTranslate: true}, nil)
+	ref := build(t, jumpTableProg, Config{NoTranslate: true}, nil)
 	runToHalt(t, ref, 10_000_000)
 	if e.Metrics.TotalMols() >= ref.Metrics.TotalMols() {
 		t.Error("indirect-heavy code did not benefit from translation")
+	}
+}
+
+// TestIndirectTargetCache: the jump-table loop's indirect exits must hit
+// the per-translation inline cache once warm.
+func TestIndirectTargetCache(t *testing.T) {
+	e := equiv(t, jumpTableProg, DefaultConfig())
+	if e.Metrics.IndirectHits == 0 {
+		t.Fatal("indirect target cache never hit")
+	}
+	if e.Metrics.IndirectHits < e.Metrics.IndirectMisses {
+		t.Errorf("indirect cache mostly missing: %d hits vs %d misses",
+			e.Metrics.IndirectHits, e.Metrics.IndirectMisses)
 	}
 }
 

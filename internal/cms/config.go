@@ -56,8 +56,8 @@ type Config struct {
 	// EnableGroups turns on translation groups (§3.6.5).
 	EnableGroups bool
 	// EnableCompiledBackend compiles installed translations into
-	// step-array code on the pipeline workers and executes that form
-	// on the hot path. Purely a wall-clock optimization: gating,
+	// step-array code at install time and executes that form on the hot
+	// path. Purely a wall-clock optimization: gating,
 	// commit/rollback, faults, and all simulated Metrics are identical to
 	// the interpretive backend (the differential test in internal/bench
 	// asserts this on every workload).
@@ -85,23 +85,6 @@ type Config struct {
 	// TCacheCapAtoms bounds the translation cache (0 = default).
 	TCacheCapAtoms int
 
-	// PipelineWorkers enables the concurrent translation pipeline: hot
-	// regions are frozen on the engine thread and translated on this many
-	// worker goroutines while the interpreter keeps retiring guest
-	// instructions. 0 (the default) translates synchronously, as real
-	// single-threaded CMS did. Simulated Metrics are identical for any
-	// worker count >= 1; only wall-clock time changes.
-	PipelineWorkers int
-	// PipelineDepth bounds in-flight translation requests (0 = default 8).
-	// Hot sites beyond the bound simply stay in the interpreter until a
-	// slot frees up — a deterministic, engine-side decision.
-	PipelineDepth int
-	// PipelineLatency is the simulated delay, in retired guest
-	// instructions, between submitting a region and installing its
-	// translation (0 = default 600). Installs happen at the first dispatch
-	// boundary past the deadline, which is what makes pipelined Metrics
-	// independent of worker count and host speed.
-	PipelineLatency uint64
 	// IndTCHitCost is the molecule charge for an indirect-branch target
 	// cache hit (0 = default 2) — the cheap inline-cache path that replaces
 	// the full LookupCost dispatch lookup for hot indirect jumps.
@@ -189,12 +172,6 @@ func (c Config) normalized() Config {
 	if c.LookupCost == 0 {
 		c.LookupCost = 12
 	}
-	if c.PipelineDepth == 0 {
-		c.PipelineDepth = 8
-	}
-	if c.PipelineLatency == 0 {
-		c.PipelineLatency = 600
-	}
 	if c.IndTCHitCost == 0 {
 		c.IndTCHitCost = 2
 	}
@@ -245,11 +222,6 @@ type Metrics struct {
 
 	// Adaptive retranslation events by fault class.
 	Adaptations [8]uint64
-
-	// Translation pipeline events (all zero in synchronous mode).
-	PipelineSubmits  uint64 // regions frozen and handed to the worker pool
-	PipelineInstalls uint64 // translations installed at their due boundary
-	PipelineStale    uint64 // finished translations dropped: source changed in flight
 
 	// Indirect-branch target cache (the inline cache on indirect exits).
 	IndirectHits   uint64

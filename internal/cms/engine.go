@@ -43,12 +43,6 @@ type Engine struct {
 	// to name the artifact to quarantine.
 	curEnt *tcache.Entry
 
-	// Concurrent translation pipeline state (nil/empty in synchronous
-	// mode); see pipeline.go.
-	pipe     *xlate.Pipeline
-	pendq    []pending
-	inflight map[uint32]bool
-
 	// resumePt, when valid, records a chain-boundary transition that a
 	// cancelled run had earned but not yet performed. Run replays it before
 	// anything else, with exactly the charges the uninterrupted run would
@@ -57,17 +51,11 @@ type Engine struct {
 	// DispatchToTexec and a fresh lookup the original run never paid).
 	resumePt resumePoint
 
-	// savedPend preserves the undelivered pipeline queue of a cancelled Run
-	// (frozen requests plus original due times) so a snapshot can carry it;
-	// startPipeline resubmits it without fresh PipelineSubmits charges. See
-	// stopPipeline.
-	savedPend []savedPending
-
 	// sharedHits/sharedMisses attribute shared-store outcomes to this
-	// engine's translation requests (atomics: pipeline workers count on
-	// their own goroutines). Wall-clock-side observability for the farm's
-	// dedup metrics — deliberately NOT part of Metrics, which must stay
-	// bit-identical with or without a store.
+	// engine's translation requests (atomics: the farm reads them through
+	// SharedStats while the engine runs). Wall-clock-side observability for
+	// the farm's dedup metrics — deliberately NOT part of Metrics, which must
+	// stay bit-identical with or without a store.
 	sharedHits   atomic.Uint64
 	sharedMisses atomic.Uint64
 }
@@ -144,23 +132,14 @@ func (e *Engine) Run(maxGuest uint64) error {
 	if e.Cfg.Cancel != nil {
 		e.nextCancel = e.Metrics.GuestTotal() + e.Cfg.CancelQuantum
 	}
-	if e.Cfg.PipelineWorkers > 0 && !e.Cfg.NoTranslate {
-		e.startPipeline()
-		defer e.stopPipeline()
-	}
 	for e.Metrics.GuestTotal() < maxGuest {
 		if e.resumePt.valid && e.err == nil {
 			// A restored snapshot parked the run mid-chain: replay the
-			// pending transition before the dispatcher touches anything
-			// (draining the pipeline first would install translations the
-			// uninterrupted run only observes after the chain surfaces).
+			// pending transition before the dispatcher touches anything.
 			rp := e.resumePt
 			e.resumePt = resumePoint{}
 			e.resumeTranslated(rp)
 			continue
-		}
-		if e.pipe != nil {
-			e.drainPipeline()
 		}
 		if e.err != nil {
 			return e.err
@@ -178,13 +157,7 @@ func (e *Engine) Run(maxGuest uint64) error {
 			continue
 		}
 		if !e.Cfg.NoTranslate && e.hot(eip) {
-			var ent *tcache.Entry
-			if e.pipe != nil {
-				ent = e.submitTranslation(eip)
-			} else {
-				ent = e.translateAt(eip)
-			}
-			if ent != nil {
+			if ent := e.translateAt(eip); ent != nil {
 				e.Metrics.DispatchToTexec++
 				e.runTranslated(ent)
 				continue
@@ -242,11 +215,11 @@ func (e *Engine) hot(eip uint32) bool {
 	return e.Interp.Prof.Heads[eip] >= e.Cfg.HotThreshold
 }
 
-// A translation reaches the cache in three steps, shared by the synchronous
-// path (translateAt: all three inline on the engine thread), the pipeline
-// (submitTranslation prepares, a worker produces, installPending installs at
-// the due time) and snapshot restore (produce only: the charges are already
-// inside the restored Metrics).
+// A translation reaches the cache in three steps, run inline on the engine
+// goroutine by translateAt (prepare, produce, install) — the one install
+// point, as in real CMS, where the translator ran on the processor it was
+// translating for. Snapshot restore reuses produce alone: the charges are
+// already inside the restored Metrics.
 
 // prepare resolves a hot address to one of: an entry, when the translation
 // group (§3.6.5) holds a version matching the live bytes and it was
@@ -285,7 +258,7 @@ type storeMethod func(*tcache.SharedStore, *xlate.Request) (*xlate.Translation, 
 // produce turns a frozen request into this VM's translation: directly from
 // the back end, or — when a farm's shared store is configured — a per-VM
 // clone of the store's frozen artifact. A pure function of the request either
-// way, so it runs on any goroutine and the store saves wall-clock work only.
+// way, so the store saves wall-clock work only.
 func (e *Engine) produce(req *xlate.Request, via storeMethod) (*xlate.Translation, error) {
 	store := e.Cfg.SharedStore
 	if store == nil {
@@ -330,8 +303,8 @@ func (e *Engine) translationFailed(eip uint32, err error) {
 	e.err = fmt.Errorf("cms: translation failed at %#x: %w", eip, err)
 }
 
-// translateAt is the synchronous path. It returns nil if the address is
-// untranslatable or translation failed.
+// translateAt translates and installs the region at eip. It returns nil if
+// the address is untranslatable or translation failed.
 func (e *Engine) translateAt(eip uint32) *tcache.Entry {
 	ent, req := e.prepare(eip)
 	if req == nil {

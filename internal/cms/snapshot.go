@@ -14,8 +14,8 @@ import (
 // Engine-level checkpoint state. A snapshot records everything the
 // determinism contract depends on — architectural state, profile, simulated
 // Metrics, the adaptive per-site policy ladders, which translations were
-// installed (by frozen request, never by artifact), the pending pipeline
-// queue, and the parked chain-boundary transition of a cancelled run — so
+// installed (by frozen request, never by artifact), and the parked
+// chain-boundary transition of a cancelled run — so
 // that a restored engine retires exactly the same future instruction stream
 // with exactly the same Metrics as the run it was captured from.
 //
@@ -51,14 +51,6 @@ type SiteState struct {
 	SelfCheck     bool         `json:"self_check,omitempty"`
 }
 
-// PendState is one undelivered pipeline submission: the frozen request and
-// the simulated instant its result becomes observable.
-type PendState struct {
-	Entry uint32              `json:"entry"`
-	Due   uint64              `json:"due"`
-	Req   *xlate.RequestImage `json:"req"`
-}
-
 // ResumeState is the parked chain-boundary transition of a cancelled run
 // (see resumePoint in engine.go).
 type ResumeState struct {
@@ -77,7 +69,6 @@ type EngineState struct {
 
 	Sites []SiteState        `json:"sites,omitempty"`
 	Cache *tcache.CacheState `json:"cache"`
-	Pend  []PendState        `json:"pend,omitempty"`
 
 	Resume ResumeState `json:"resume"`
 
@@ -95,9 +86,6 @@ type EngineState struct {
 // configured Injector cannot ride the snapshot, or if any installed
 // translation lacks its frozen request.
 func (e *Engine) ExportState() (*EngineState, error) {
-	if e.pipe != nil {
-		return nil, fmt.Errorf("cms: snapshot with translation pipeline running")
-	}
 	cs, err := e.Cache.ExportState()
 	if err != nil {
 		return nil, err
@@ -132,9 +120,6 @@ func (e *Engine) ExportState() (*EngineState, error) {
 			UseGroups:     st.useGroups,
 			SelfCheck:     st.selfCheck,
 		})
-	}
-	for _, sp := range e.savedPend {
-		s.Pend = append(s.Pend, PendState{Entry: sp.entry, Due: sp.due, Req: sp.req.Image()})
 	}
 	if e.resumePt.valid {
 		s.Resume = ResumeState{
@@ -197,13 +182,6 @@ func RestoreEngine(plat *dev.Platform, cfg Config, s *EngineState) (*Engine, err
 	// state verbatim, and re-protecting would be redundant at best.
 	if err := e.Cache.RestoreState(s.Cache, e.rehydrate); err != nil {
 		return nil, err
-	}
-	for _, ps := range s.Pend {
-		req, err := ps.Req.Reify()
-		if err != nil {
-			return nil, fmt.Errorf("cms: pending request at %#x: %w", ps.Entry, err)
-		}
-		e.savedPend = append(e.savedPend, savedPending{entry: ps.Entry, due: ps.Due, req: req})
 	}
 	if s.Resume.Valid {
 		ent := e.Cache.Peek(s.Resume.Entry)

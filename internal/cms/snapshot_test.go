@@ -9,7 +9,6 @@ import (
 	"cms/internal/dev"
 	"cms/internal/mem"
 	"cms/internal/tcache"
-	"cms/internal/xlate"
 )
 
 // snapLoop retires enough instructions that a first-poll cancel always
@@ -142,16 +141,9 @@ func TestEngineRestoreRehydratesThroughStore(t *testing.T) {
 	}
 }
 
-// TestEngineExportErrors pins the export-time refusals: a running pipeline
-// and an injector that cannot ride a snapshot.
+// TestEngineExportErrors pins the export-time refusal: an injector that
+// cannot ride a snapshot.
 func TestEngineExportErrors(t *testing.T) {
-	e := build(t, snapLoop, DefaultConfig(), nil)
-	e.pipe = new(xlate.Pipeline)
-	if _, err := e.ExportState(); err == nil || !strings.Contains(err.Error(), "pipeline") {
-		t.Fatalf("export with live pipeline: %v", err)
-	}
-	e.pipe = nil
-
 	cfg := DefaultConfig()
 	cfg.Injector = statelessInjector{}
 	ei := build(t, snapLoop, cfg, nil)

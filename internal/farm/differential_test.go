@@ -125,43 +125,6 @@ func TestFarmDifferential(t *testing.T) {
 	}
 }
 
-// TestFarmDifferentialPipelined repeats the contract with the concurrent
-// translation pipeline enabled in every VM — shared store and pipeline
-// compose, and Metrics stay solo-identical.
-func TestFarmDifferentialPipelined(t *testing.T) {
-	if testing.Short() {
-		t.Skip("differential suite is minutes long under -race")
-	}
-	cfg := cms.DefaultConfig()
-	cfg.PipelineWorkers = 2
-	ws := workload.Boots() // boots exercise SMC/MMIO; apps covered above
-
-	f := New(Config{MaxVMs: 4, QueueDepth: 2 * len(ws), Engine: cfg, StoreShards: 8})
-	var ids []string
-	for i := 0; i < 2; i++ {
-		for _, w := range ws {
-			v, err := f.Submit(JobSpec{Workload: w.Name})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ids = append(ids, v.ID)
-		}
-	}
-	f.Drain()
-
-	for _, id := range ids {
-		v, _ := f.Job(id)
-		if v.Status != StatusDone {
-			t.Fatalf("%s (%s): status %s: %s", id, v.Spec.Workload, v.Status, v.Error)
-		}
-		w, err := workload.ByName(v.Spec.Workload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		diffResults(t, id+"/"+v.Spec.Workload, soloRun(t, w, cfg), v.Result)
-	}
-}
-
 // runMixedFarm submits copies×(workload, backend) jobs for every listed
 // backend over one shared store, drains, checks every job against its solo
 // result, and returns the final store stats.

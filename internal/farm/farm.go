@@ -740,7 +740,6 @@ func demote(c cms.Config) (cms.Config, string, bool) {
 		return c, "nocompile", true
 	default:
 		c.NoTranslate = true
-		c.PipelineWorkers = 0
 		return c, "interp", true
 	}
 }

@@ -273,11 +273,11 @@ func TestWriteMetrics(t *testing.T) {
 }
 
 // TestEngineTemplateRespected checks the farm passes its engine config
-// template through (here: pipelined translation) while still forcing the
-// shared store in.
+// template through (here: chaining off) while still forcing the shared
+// store in.
 func TestEngineTemplateRespected(t *testing.T) {
 	cfg := cms.DefaultConfig()
-	cfg.PipelineWorkers = 2
+	cfg.EnableChaining = false
 	f := New(Config{MaxVMs: 1, Engine: cfg})
 	v, err := f.Submit(JobSpec{Source: testSource})
 	if err != nil {
@@ -288,10 +288,13 @@ func TestEngineTemplateRespected(t *testing.T) {
 	if got.Status != StatusDone {
 		t.Fatalf("status = %s (%s)", got.Status, got.Error)
 	}
-	if got.Result.Metrics.PipelineSubmits == 0 {
-		t.Error("pipelined engine template was not applied")
+	if got.Result.Metrics.Translations == 0 {
+		t.Fatal("nothing translated: the template assertion below would be vacuous")
+	}
+	if got.Result.Metrics.ChainTransfers != 0 {
+		t.Errorf("chaining-off engine template was not applied: %d chain transfers", got.Result.Metrics.ChainTransfers)
 	}
 	if got.Result.SharedMisses == 0 {
-		t.Error("shared store was not wired into the pipelined engine")
+		t.Error("shared store was not wired into the templated engine")
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"cms/internal/cms"
 	"cms/internal/dev"
 	"cms/internal/guest"
+	"cms/internal/incident"
 	"cms/internal/snapshot"
 )
 
@@ -163,15 +164,14 @@ func requestCheckpoint(f *Farm, id string) {
 // workload that leans on protection, DMA and MMIO, and the checksum again
 // preempted into a snapshot at its first boundary — on a one-runner farm
 // straight after a predecessor that dirtied the VM and then halted, panicked
-// twice, was retried onto a demoted rung, ran into its deadline with
-// translations in flight, was checkpointed away, or was itself restored from
-// an envelope with its page generations wiped. Every probe must be
-// byte-identical (architectural state, console, Metrics, cache statistics)
-// to the same probe alone on a brand-new farm, and the envelope to one
-// captured from an engine no farm ever touched.
+// twice, was retried onto a demoted rung, was preempted by its deadline in
+// the middle of its translated loop, was checkpointed away, or was itself
+// restored from an envelope with its page generations wiped. Every probe
+// must be byte-identical (architectural state, console, Metrics, cache
+// statistics) to the same probe alone on a brand-new farm, and the envelope
+// to one captured from an engine no farm ever touched.
 func TestRecycledVMDifferential(t *testing.T) {
 	cfg := cms.DefaultConfig()
-	cfg.PipelineWorkers = 2 // deadlines and checkpoints land with translations in flight
 	nocompile := cfg
 	nocompile.EnableCompiledBackend = false
 
@@ -282,7 +282,7 @@ func TestRecycledVMDifferential(t *testing.T) {
 
 			// A plug holds the only runner while everything else is queued,
 			// so the checkpoint flags are set before their jobs start.
-			f := New(Config{MaxVMs: 1, Engine: p.engine, BreakerWindow: -1})
+			f := New(Config{MaxVMs: 1, Engine: p.engine, BreakerWindow: -1, IncidentDir: t.TempDir()})
 			plug := submit(t, f, JobSpec{Source: spinDirtySource, Budget: 4_000_000_000}, nil)
 			pred := submit(t, f, p.spec, p.restore)
 			if p.preempt {
@@ -299,8 +299,23 @@ func TestRecycledVMDifferential(t *testing.T) {
 			}
 			f.Drain()
 
-			if v, _ := f.Job(pred); v.Status != p.want {
+			v, _ := f.Job(pred)
+			if v.Status != p.want {
 				t.Errorf("predecessor ended %s (%s), want %s", v.Status, v.Error, p.want)
+			}
+			if p.want == StatusTimeout {
+				// The watchdog stopped the spin loop while it ran translated:
+				// past the hot threshold, short of the budget.
+				if len(v.Incidents) != 1 {
+					t.Fatalf("timed-out predecessor wrote %d incident bundles, want 1", len(v.Incidents))
+				}
+				b, err := incident.Load(v.Incidents[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if hot := 4 * cfg.HotThreshold; b.Retired <= hot || b.Retired >= p.spec.Budget {
+					t.Errorf("deadline preempted the predecessor after %d insns, want in (%d, %d)", b.Retired, hot, p.spec.Budget)
+				}
 			}
 			for k, id := range ids {
 				diffResults(t, probeNames[k], ref.results[k], done(t, f, id))

@@ -1,6 +1,10 @@
 package farm
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"errors"
 	"testing"
 
 	"cms/internal/cms"
@@ -194,8 +198,9 @@ loop:
 }
 
 // TestSubmitRestoreValidation pins the admission errors: a spec naming an
-// image, a corrupt envelope, and a self-consistent envelope whose bus section
-// no VM can hold — each refused before a job is minted.
+// image, a corrupt envelope, a self-consistent envelope whose bus section no
+// VM can hold, and one carrying in-flight pipeline translations — each
+// refused before a job is minted.
 func TestSubmitRestoreValidation(t *testing.T) {
 	cfg := cms.DefaultConfig()
 	f := New(Config{MaxVMs: 1, Engine: cfg})
@@ -233,6 +238,19 @@ func TestSubmitRestoreValidation(t *testing.T) {
 		if got := f.Stats().Submitted; got != before {
 			t.Errorf("%s: refused envelope moved submitted %d -> %d", name, before, got)
 		}
+	}
+
+	// A checkpoint a pipelined engine took with a translation in flight.
+	payload := bytes.Replace(blob[len(snapshot.Magic)+4:len(blob)-sha256.Size], []byte(`"engine":{`),
+		[]byte(`"engine":{"pend":[{"entry":4096,"due":600,"req":null}],`), 1)
+	sum := sha256.Sum256(payload)
+	pend := append(binary.LittleEndian.AppendUint32([]byte(snapshot.Magic), uint32(len(payload))), payload...)
+	before := f.Stats().Submitted
+	if v, err := f.SubmitRestore(append(pend, sum[:]...), JobSpec{}); !errors.Is(err, snapshot.ErrPendingTranslations) {
+		t.Errorf("envelope with an in-flight translation: %v (job %q), want ErrPendingTranslations", err, v.ID)
+	}
+	if got := f.Stats().Submitted; got != before {
+		t.Errorf("refused pend envelope moved submitted %d -> %d", before, got)
 	}
 	f.Drain()
 }

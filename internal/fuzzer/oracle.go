@@ -23,10 +23,6 @@ import (
 //     backend, the risc register-IR backend, and the shared store are pure
 //     wall-clock optimizations, so the full Metrics struct and cache
 //     statistics are identical.
-//   - pipelined class {pipe1, pipe2}: installs happen at deterministic due
-//     times independent of worker count, so any worker count >= 1 produces
-//     identical Metrics (but different from synchronous translation, which
-//     installs immediately).
 //   - interp: pure interpretation retires through a different cost model
 //     entirely; only its architectural state is compared.
 //
@@ -98,8 +94,6 @@ func CheckProgram(p *Program, opts CheckOptions) *Divergence {
 	// interpreter, held to the same contract on both axes.
 	riscBackend := func(c *cms.Config) { c.Backend = "risc" }
 	riscRun := run("risc", riscBackend, nil)
-	pipe1 := run("pipe1", func(c *cms.Config) { c.PipelineWorkers = 1 }, nil)
-	pipe2 := run("pipe2", func(c *cms.Config) { c.PipelineWorkers = 2 }, nil)
 	// A forced-wide shard array: on small hosts NewShared would collapse to
 	// one shard, and the shared runs must prove cross-shard routing is as
 	// invisible as the store itself.
@@ -108,7 +102,7 @@ func CheckProgram(p *Program, opts CheckOptions) *Divergence {
 	sharedA := run("sharedA", shared, nil)
 	sharedB := run("sharedB", shared, nil)
 
-	all := []*State{interp, xlate, compiled, riscRun, pipe1, pipe2, sharedA, sharedB}
+	all := []*State{interp, xlate, compiled, riscRun, sharedA, sharedB}
 	var injXlate, snapInj *State
 	if opts.Inject {
 		injXlate = run("inj-xlate", func(c *cms.Config) { c.EnableCompiledBackend = false }, NewSchedule(p.Seed))
@@ -153,14 +147,13 @@ func CheckProgram(p *Program, opts CheckOptions) *Divergence {
 	// translation is deterministically re-translated at rehydration.
 	snapCold := snapLeg("snap-shared-cold", shared, 2,
 		func(c *cms.Config) { c.SharedStore = tcache.NewSharedShards(0, 4) }, nil, nil)
-	snapPipe := snapLeg("snap-pipe", func(c *cms.Config) { c.PipelineWorkers = 1 }, 3, nil, nil, nil)
 	// Random-boundary snapshot under the risc backend, against the store
 	// the vliw shared legs already warmed: the capture half populates
 	// risc-tagged keys beside the vliw-tagged ones, and the restore half
 	// must rehydrate strictly from its own backend's entries — the
 	// content keys keep the backends apart in a mixed store.
 	snapRisc := snapLeg("snap-risc", func(c *cms.Config) { shared(c); riscBackend(c) }, 5, nil, nil, nil)
-	all = append(all, snapCompiled, snapWarm, snapCold, snapPipe, snapRisc)
+	all = append(all, snapCompiled, snapWarm, snapCold, snapRisc)
 	if opts.Inject {
 		// Fault injection across a checkpoint: the schedule state rides the
 		// snapshot, so the restored run's injections continue exactly where
@@ -184,11 +177,6 @@ func CheckProgram(p *Program, opts CheckOptions) *Divergence {
 	for _, st := range []*State{compiled, riscRun, sharedA, sharedB, snapCompiled, snapWarm, snapCold, snapRisc} {
 		if d := DiffMetrics(xlate, st); d != "" {
 			return &Divergence{Seed: p.Seed, Field: "metrics", A: xlate.Name, B: st.Name, Detail: d}
-		}
-	}
-	for _, st := range []*State{pipe2, snapPipe} {
-		if d := DiffMetrics(pipe1, st); d != "" {
-			return &Divergence{Seed: p.Seed, Field: "metrics", A: pipe1.Name, B: st.Name, Detail: d}
 		}
 	}
 	if opts.Inject {

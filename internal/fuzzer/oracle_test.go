@@ -11,20 +11,19 @@ import (
 )
 
 // oracleSeeds is how many generated programs TestOracle pushes through the
-// full configuration matrix (8 straight runs plus 5 checkpoint/restore
+// full configuration matrix (6 straight runs plus 4 checkpoint/restore
 // legs each). -short trims it for quick edits.
 const oracleSeeds = 500
 
 // TestOracle is the differential oracle over generated programs: every
-// seed's program runs under pure interpretation, synchronous translation
-// with and without the compiled backend, the risc register-IR backend, the
-// pipelined engine at two worker counts, and a shared-store pair, and must
-// produce byte-identical architectural state everywhere plus identical
-// Metrics within each equivalence class. Five checkpoint legs additionally
-// snapshot mid-run at a seed-derived boundary and finish in a restored
-// engine — warm store, cold store, pipelined, risc against a mixed-backend
-// store — and must be indistinguishable from their uninterrupted
-// counterparts.
+// seed's program runs under pure interpretation, translation with and
+// without the compiled backend, the risc register-IR backend, and a
+// shared-store pair, and must produce byte-identical architectural state
+// everywhere plus identical Metrics within each equivalence class. Four
+// checkpoint legs additionally snapshot mid-run at a seed-derived boundary
+// and finish in a restored engine — no store, warm store, cold store, risc
+// against a mixed-backend store — and must be indistinguishable from their
+// uninterrupted counterparts.
 func TestOracle(t *testing.T) {
 	n := uint64(oracleSeeds)
 	if testing.Short() {

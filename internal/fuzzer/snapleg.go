@@ -14,7 +14,7 @@ import (
 // state AND simulated Metrics — must be bit-identical to the uninterrupted
 // run of the same configuration. That is the snapshot subsystem's whole
 // contract, and it must hold at arbitrary boundaries, with warm or cold
-// shared stores, with the translation pipeline mid-flight, and under fault
+// shared stores, mid-chain (a parked resume point), and under fault
 // injection.
 
 // snapCancelQuantum is deliberately tiny so the watchdog poll lands close

@@ -10,8 +10,8 @@
 // single deterministic process.
 //
 // Replayability leans on the repo's determinism contract: simulated Metrics
-// and architectural state are independent of the shared store, worker count,
-// and wall clock, so a solo replay without a store reproduces a farm
+// and architectural state are independent of the shared store and the wall
+// clock, so a solo replay without a store reproduces a farm
 // failure. The one wall-clock-shaped event — a watchdog timeout — is made
 // deterministic by recording the retired-instruction count at the
 // cancellation boundary and replaying with that count as the budget: the
@@ -73,9 +73,6 @@ type EngineConfig struct {
 	EnableChaining         bool   `json:"enable_chaining,omitempty"`
 	NoTranslate            bool   `json:"no_translate,omitempty"`
 	TCacheCapAtoms         int    `json:"tcache_cap_atoms,omitempty"`
-	PipelineWorkers        int    `json:"pipeline_workers,omitempty"`
-	PipelineDepth          int    `json:"pipeline_depth,omitempty"`
-	PipelineLatency        uint64 `json:"pipeline_latency,omitempty"`
 	IndTCHitCost           uint64 `json:"ind_tc_hit_cost,omitempty"`
 	CancelQuantum          uint64 `json:"cancel_quantum,omitempty"`
 	RollbackStormThreshold uint32 `json:"rollback_storm_threshold,omitempty"`
@@ -97,9 +94,6 @@ func FromCMS(c cms.Config) EngineConfig {
 		EnableChaining:         c.EnableChaining,
 		NoTranslate:            c.NoTranslate,
 		TCacheCapAtoms:         c.TCacheCapAtoms,
-		PipelineWorkers:        c.PipelineWorkers,
-		PipelineDepth:          c.PipelineDepth,
-		PipelineLatency:        c.PipelineLatency,
 		IndTCHitCost:           c.IndTCHitCost,
 		CancelQuantum:          c.CancelQuantum,
 		RollbackStormThreshold: c.RollbackStormThreshold,
@@ -124,9 +118,6 @@ func (ec EngineConfig) ToCMS() cms.Config {
 		EnableChaining:         ec.EnableChaining,
 		NoTranslate:            ec.NoTranslate,
 		TCacheCapAtoms:         ec.TCacheCapAtoms,
-		PipelineWorkers:        ec.PipelineWorkers,
-		PipelineDepth:          ec.PipelineDepth,
-		PipelineLatency:        ec.PipelineLatency,
 		IndTCHitCost:           ec.IndTCHitCost,
 		CancelQuantum:          ec.CancelQuantum,
 		RollbackStormThreshold: ec.RollbackStormThreshold,
@@ -251,8 +242,23 @@ func Load(path string) (*Bundle, error) {
 	if b.Kind == "" {
 		return nil, fmt.Errorf("incident: %s: missing kind", path)
 	}
+	var legacy struct {
+		Engine struct {
+			PipelineWorkers int `json:"pipeline_workers"`
+		} `json:"engine"`
+	}
+	if json.Unmarshal(raw, &legacy) == nil && legacy.Engine.PipelineWorkers > 0 {
+		return nil, fmt.Errorf("incident: %s: %w", path, ErrPipelineBundle)
+	}
 	return &b, nil
 }
+
+// ErrPipelineBundle refuses a bundle recorded by an engine that ran the
+// since-removed concurrent translation pipeline (engine.pipeline_workers
+// > 0). That engine installed translations at simulated due times the
+// current one does not model, so a replay would diverge for that reason
+// alone and misreport the failure as not reproducing.
+var ErrPipelineBundle = errors.New("incident: bundle was recorded with pipeline_workers > 0; the translation pipeline is gone and the run cannot be replayed")
 
 // IsBundle reports whether the file at path looks like an incident bundle
 // (JSON object) rather than a text fuzzer reproducer.

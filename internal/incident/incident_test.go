@@ -1,6 +1,8 @@
 package incident_test
 
 import (
+	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -90,6 +92,43 @@ func TestReplayDetectsTampering(t *testing.T) {
 	}
 }
 
+// TestLoadRefusesPipelineBundle: a bundle recorded by an engine with
+// translation pipeline workers cannot be replayed and says so at Load, while
+// the same bundle with the pipeline off still loads and reproduces.
+func TestLoadRefusesPipelineBundle(t *testing.T) {
+	path, _ := captureBundle(t)
+	withEngineKeys := func(keys string) string {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &b); err != nil {
+			t.Fatal(err)
+		}
+		b["engine"] = append(json.RawMessage(`{`+keys+`,`), b["engine"][1:]...)
+		out, err := json.Marshal(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := filepath.Join(t.TempDir(), "bundle.json")
+		if err := os.WriteFile(p, out, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	if _, err := incident.Load(withEngineKeys(`"pipeline_workers":2`)); !errors.Is(err, incident.ErrPipelineBundle) {
+		t.Fatalf("pipelined bundle: %v, want ErrPipelineBundle", err)
+	}
+	b, err := incident.Load(withEngineKeys(`"pipeline_workers":0,"pipeline_depth":8,"pipeline_latency":600`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := incident.Replay(b); err != nil {
+		t.Fatalf("synchronous bundle with pipeline keys: %v", err)
+	}
+}
+
 // TestIsBundleDistinguishesText pins the dual -replay format contract: the
 // fuzzer's text reproducers must never be mistaken for incident bundles.
 func TestIsBundleDistinguishesText(t *testing.T) {
@@ -110,7 +149,7 @@ func TestIsBundleDistinguishesText(t *testing.T) {
 // configuration the failing attempt did.
 func TestEngineConfigRoundTrip(t *testing.T) {
 	cfg := cms.DefaultConfig()
-	cfg.PipelineWorkers = 3
+	cfg.EnableChaining = false
 	cfg.RollbackStormThreshold = 9
 	cfg.NoTranslate = false
 	cfg.CancelQuantum = 1024

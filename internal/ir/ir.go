@@ -381,8 +381,8 @@ func (r *Region) SrcRanges() []SrcRange {
 }
 
 // SrcRangesOf coalesces the source byte ranges of an instruction list
-// without requiring a lowered region (the translation pipeline captures
-// source bytes before lowering happens on a worker).
+// without requiring a lowered region (a frozen translation request captures
+// source bytes before it is lowered).
 func SrcRangesOf(insns []guest.Insn) []SrcRange {
 	return slices.Clone(AppendSrcRanges(make([]SrcRange, 0, len(insns)), insns))
 }

@@ -33,6 +33,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"cms/internal/cms"
@@ -114,8 +115,9 @@ func (s *Snapshot) Encode() ([]byte, error) {
 }
 
 // Decode parses and verifies an envelope. It never panics on hostile input:
-// bad magic, truncation, trailing garbage, digest mismatch, and malformed
-// or version-skewed payloads all return errors.
+// bad magic, truncation, trailing garbage, digest mismatch, malformed or
+// version-skewed payloads, and in-flight pipeline translations
+// (ErrPendingTranslations) all return errors.
 func Decode(b []byte) (*Snapshot, error) {
 	if len(b) < headerLen+sha256.Size {
 		return nil, fmt.Errorf("snapshot: envelope truncated (%d bytes)", len(b))
@@ -132,18 +134,40 @@ func Decode(b []byte) (*Snapshot, error) {
 	if string(sum[:]) != string(b[headerLen+n:]) {
 		return nil, fmt.Errorf("snapshot: payload digest mismatch (corrupted envelope)")
 	}
-	s := &Snapshot{}
-	if err := json.Unmarshal(payload, s); err != nil {
+	// The engine is read through a wrapper that also counts the entries of
+	// "pend", a key the engine state no longer has, so envelopes carrying
+	// any are refused by name instead of restoring without their in-flight
+	// translations.
+	var w struct {
+		Version  int                `json:"version"`
+		Platform *dev.PlatformState `json:"platform"`
+		Engine   *struct {
+			*cms.EngineState
+			Pend []struct{} `json:"pend"`
+		} `json:"engine"`
+	}
+	if err := json.Unmarshal(payload, &w); err != nil {
 		return nil, fmt.Errorf("snapshot: payload: %w", err)
 	}
-	if s.Version != Version {
-		return nil, fmt.Errorf("snapshot: version %d, want %d", s.Version, Version)
+	if w.Version != Version {
+		return nil, fmt.Errorf("snapshot: version %d, want %d", w.Version, Version)
 	}
-	if s.Platform == nil || s.Engine == nil {
+	if w.Platform == nil || w.Engine == nil || w.Engine.EngineState == nil {
 		return nil, fmt.Errorf("snapshot: payload incomplete")
 	}
-	return s, nil
+	if len(w.Engine.Pend) > 0 {
+		return nil, ErrPendingTranslations
+	}
+	return &Snapshot{Version: w.Version, Platform: w.Platform, Engine: w.Engine.EngineState}, nil
 }
+
+// ErrPendingTranslations refuses an envelope whose engine state has a
+// non-empty "pend" section: translations the since-removed concurrent
+// translation pipeline still had in flight at capture, each due to install
+// at a later simulated instant. The engine now installs a translation the
+// moment it makes it, so no restore could retire the future the captured
+// run would have.
+var ErrPendingTranslations = errors.New(`snapshot: envelope carries in-flight pipeline translations ("pend"), which this engine cannot resume`)
 
 // Save captures and encodes in one step.
 func Save(e *cms.Engine) ([]byte, error) {

@@ -2,6 +2,8 @@ package snapshot
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"reflect"
 	"testing"
@@ -172,6 +174,72 @@ func TestEnvelopeCorruption(t *testing.T) {
 	}
 	if _, err := Decode(append(append([]byte(nil), blob...), 0)); err == nil {
 		t.Fatal("trailing garbage undetected")
+	}
+}
+
+// reseal splices text into an envelope's payload right after the first
+// occurrence of at, which must occur once, and frames the result as a valid
+// envelope — how the tests below build envelopes of older shapes.
+func reseal(t *testing.T, blob []byte, at, text string) []byte {
+	t.Helper()
+	payload := blob[headerLen : len(blob)-sha256.Size]
+	if n := bytes.Count(payload, []byte(at)); n != 1 {
+		t.Fatalf("payload holds %q %d times, want once", at, n)
+	}
+	payload = bytes.Replace(payload, []byte(at), []byte(at+text), 1)
+	out := binary.LittleEndian.AppendUint32([]byte(Magic), uint32(len(payload)))
+	sum := sha256.Sum256(payload)
+	return append(append(out, payload...), sum[:]...)
+}
+
+// TestParentFormatEnvelopeRestores: every envelope written while the engine
+// still had a translation pipeline carries three more Metrics keys, all 0 in
+// a synchronous run. Such an envelope, captured mid-run, must restore and
+// finish bit-identical to the uninterrupted run.
+func TestParentFormatEnvelopeRestores(t *testing.T) {
+	img := workload.All()[0].Build()
+	cfg := cms.DefaultConfig()
+	base := newEngine(img, cfg)
+	want := capture(base, base.Run(img.Budget))
+
+	runCfg := cfg
+	var eng *cms.Engine
+	runCfg.Cancel = func() bool { return eng.Metrics.GuestTotal() >= base.Metrics.GuestTotal()/3 }
+	runCfg.CancelQuantum = 251
+	eng = newEngine(img, runCfg)
+	if err := eng.Run(img.Budget); !errors.Is(err, cms.ErrCancelled) {
+		t.Fatalf("capture run: %v", err)
+	}
+	blob, err := Save(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := reseal(t, blob, `"metrics":{`, `"PipelineInstalls":0,"PipelineStale":0,"PipelineSubmits":0,`)
+	restored, err := Load(old, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diff(t, "parent-format envelope", want, capture(restored, restored.Run(img.Budget)))
+}
+
+// TestPendingTranslationsRefused: an envelope captured with translations in
+// flight in a pipelined engine is refused by name, not restored without them.
+func TestPendingTranslationsRefused(t *testing.T) {
+	img := workload.All()[0].Build()
+	e := newEngine(img, cms.DefaultConfig())
+	if err := e.Run(img.Budget); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := Save(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pend := reseal(t, blob, `"engine":{`, `"pend":[{"entry":4096,"due":600,"req":null}],`)
+	if _, err := Decode(pend); !errors.Is(err, ErrPendingTranslations) {
+		t.Fatalf("Decode of an envelope with a pend entry: %v, want ErrPendingTranslations", err)
+	}
+	if _, err := Decode(reseal(t, blob, `"engine":{`, `"pend":[],`)); err != nil {
+		t.Fatalf("an empty pend section is no in-flight translation: %v", err)
 	}
 }
 

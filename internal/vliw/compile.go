@@ -5,8 +5,7 @@
 // which ExecCompiled threads in a single loop without ever consulting the
 // Atom structs again. The interpretive Exec re-decodes every atom through
 // its big switch on every execution; the compiled form pays that decode
-// exactly once, at translation-install time (on the translation pipeline
-// workers, off the engine thread).
+// exactly once, when the translator builds the translation.
 //
 // A step is either dispatched inline by the loop's dense switch — register
 // moves and ALU ops that touch no flags, the word-sized load/store fast

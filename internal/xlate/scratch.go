@@ -16,8 +16,8 @@ import (
 //
 // A scratch belongs to one Request.Translate call at a time. It comes from a
 // process-wide pool rather than from the Translator because Translate runs
-// wherever a frozen Request travels — the engine goroutine, the pipeline
-// workers, a shared store's callers — and none of those own a Translator.
+// wherever a frozen Request travels — any VM's engine goroutine, a shared
+// store's callers, snapshot restore — and none of those own a Translator.
 //
 // Nothing in here may stay reachable from the Translation handed back: the
 // shared store freezes artifacts and clones them into other VMs, while the

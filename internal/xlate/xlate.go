@@ -23,9 +23,9 @@ type Translation struct {
 	Code   *vliw.Code
 	Policy Policy
 
-	// Compiled is the step-array form of Code, built on the pipeline
-	// workers when the translator's CompileBackend is on and the backend is
-	// vliw. Nil means the engine interprets Code; the translation cache
+	// Compiled is the step-array form of Code, built at translation time
+	// when the translator's CompileBackend is on and the backend is vliw.
+	// Nil means the engine interprets Code; the translation cache
 	// nils it when an entry is replaced in place so stale compiled code can
 	// never run.
 	Compiled *vliw.CompiledCode
@@ -233,9 +233,9 @@ type Translator struct {
 
 	// CompileBackend makes Translate also compile the scheduled code into
 	// the backend's executable form — step-array vliw.Compile by
-	// default, risc.Lower when Backend is BackendRISC. The compile runs
-	// wherever Translate runs — on the pipeline workers in the concurrent
-	// configuration — keeping it off the engine thread.
+	// default, risc.Lower when Backend is BackendRISC. The compile is part
+	// of Translate, so a shared store that serves the artifact serves the
+	// executable form with it.
 	CompileBackend bool
 
 	// Backend selects the code-gen backend for the executable form:
@@ -283,9 +283,8 @@ func (tr *Translator) Translate(entry uint32, pol Policy) (*Translation, error) 
 // Request is a frozen translation request: the region selection plus every
 // byte of input the backend needs, captured synchronously from the live bus
 // and profile. Once built, a Request shares no mutable state with the
-// running guest, so Translate may run on any goroutine while the
-// interpreter keeps retiring instructions — the concurrency boundary of the
-// translation pipeline.
+// running guest, so Translate is a pure function of it: a shared store can
+// run it for any VM, and snapshot restore can replay it later.
 type Request struct {
 	Entry uint32
 	Pol   Policy

@@ -1,7 +1,7 @@
 #!/bin/sh
 # check.sh — the repo's pre-merge gate: formatting, vet, and the full test
-# suite under the race detector (the translation pipeline is concurrent;
-# -race is the tier-1 bar, not an extra).
+# suite under the race detector (a farm runs VMs on concurrent goroutines
+# over one shared translation store; -race is the tier-1 bar, not an extra).
 #
 # Usage: scripts/check.sh
 set -eu
@@ -21,8 +21,8 @@ go test -race ./...
 # The contracts below ran once already, under -race, in the full suite
 # above: the backend differential (identical state, Metrics and cache
 # statistics on every workload, executed interpretively, through the vliw
-# step arrays and through the risc register IR, sync and pipelined — plus its
-# mutation test), internal/bench importing no clock, the farm differentials
+# step arrays and through the risc register IR — plus its mutation test),
+# internal/bench importing no clock, the farm differentials
 # (solo and in-farm runs byte-identical over the shared store, including
 # mixed vliw/risc farms), the sharded-store torture test, the
 # fault-containment chaos capstone, and the translator's three (below). Running them again by
@@ -40,11 +40,10 @@ require_tests() {
 		fi
 	done
 }
-require_tests ./internal/farm/ TestFarmDifferential TestFarmDifferentialPipelined \
-	TestFarmMixedBackendDifferential TestChaosServing TestRecycledVMDifferential \
-	TestRecycledVMCanary
+require_tests ./internal/farm/ TestFarmDifferential TestFarmMixedBackendDifferential \
+	TestChaosServing TestRecycledVMDifferential TestRecycledVMCanary
 require_tests ./internal/tcache/ TestSharedStoreTorture
-require_tests ./internal/bench/ TestBackendDifferential TestBackendDifferentialPipelined \
+require_tests ./internal/bench/ TestBackendDifferential \
 	TestBackendDifferentialCatchesWrongCarry TestBenchIsClockFree
 # The translator's working memory is pooled across goroutines. What licenses
 # that: the emitted code of the corpus is pinned to a digest, translating
@@ -81,10 +80,10 @@ cmp "$benchdir/run1" "$benchdir/run2"
 echo "check.sh: cmsbench output deterministic"
 
 # Generative fuzzer smoke: sweep 64 seeds through the full differential
-# oracle — nine straight legs per seed (interp, xlate, compiled, the risc
-# register-IR backend, two pipeline widths, two shared-store runs, plus the
-# random-boundary snapshot legs). A divergence writes a shrunk reproducer
-# to internal/fuzzer/testdata/corpus/ and fails the gate.
+# oracle — six straight runs per seed (interp, xlate, compiled, the risc
+# register-IR backend, two shared-store runs) plus four random-boundary
+# snapshot legs. A divergence writes a shrunk reproducer to
+# internal/fuzzer/testdata/corpus/ and fails the gate.
 go run ./cmd/cmsfuzz -seeds 64
 
 # Native fuzz targets, a short session each: the ISA codec canonicality
