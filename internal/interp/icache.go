@@ -20,8 +20,11 @@ import (
 // strictly stronger than the CMS write-protection machinery, which only
 // guards pages holding translations.
 
-// icacheBits sizes the direct-mapped decoded-instruction cache.
-const icacheBits = 12
+// icacheBits sizes the direct-mapped decoded-instruction cache. Its hit
+// ratio is the same at 1024 slots as at 4096 on every benchmark workload —
+// the misses are generation invalidations, not capacity — and each engine
+// builds one, so it is sized for construction: 64 KiB.
+const icacheBits = 10
 
 // icacheSize is the number of entries (one per low-address slot).
 const icacheSize = 1 << icacheBits

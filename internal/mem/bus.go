@@ -108,10 +108,37 @@ type mmioRegion struct {
 	dev        MMIODevice
 }
 
+// pageEntry is one RAM page's guest attributes, generation and backing, kept
+// in one entry so an access pays one bounds check for all three.
+//
+// ram is nil until the page is first written, and a page with no backing
+// reads as zero. That is the dirty-page invariant: only a backed page can
+// hold a non-zero byte, so Reset, ExportState and RestoreState visit backed
+// pages only. Every writer of RAM gives the page its backing first, through
+// page, the one place a backing is handed out.
+//
+// gen is the page's modification generation, bumped by every RAM write (CPU
+// store, DMA, raw image write) and by attribute changes. Consumers that
+// cache anything derived from page contents — the interpreter's
+// decoded-instruction cache above all — record the generation at fill time
+// and treat any mismatch as an invalidation. This is deliberately coarser
+// than CMS write protection: it also covers pages that hold no translations
+// yet.
+type pageEntry struct {
+	ram  *[PageSize]byte
+	gen  uint64
+	attr Attr
+}
+
 // Bus is the guest memory system. The zero value is not usable; call NewBus.
 type Bus struct {
-	ram   []byte
-	attrs []Attr // one per RAM page
+	pages []pageEntry
+
+	// spare holds the zeroed backings Reset and RestoreState took off their
+	// pages; page reuses them before it allocates, so a recycled bus keeps
+	// its working set. A backing is on a page or here, never both, so spare
+	// never holds more than one backing per page.
+	spare []*[PageSize]byte
 
 	regions []mmioRegion
 	ports   map[uint16]PortDevice
@@ -120,21 +147,6 @@ type Bus struct {
 	protected []bool   // coarse page protection
 	fineMask  []uint32 // per-page chunk mask; only meaningful when fineGrain[page]
 	fineGrain []bool   // page is under fine-grain rather than coarse protection
-
-	// gen is a per-page modification generation, bumped by every RAM write
-	// (CPU store, DMA, raw image write) and by attribute changes. Consumers
-	// that cache anything derived from page contents — the interpreter's
-	// decoded-instruction cache above all — record the generation at fill
-	// time and treat any mismatch as an invalidation. This is deliberately
-	// coarser than CMS write protection: it also covers pages that hold no
-	// translations yet.
-	gen []uint64
-
-	// restored marks the pages RestoreState populated (nil until it runs).
-	// Restored generations are verbatim, so an envelope can put bytes on a
-	// page and leave its generation 0; this is the one writer gen cannot
-	// vouch for. See dirty.
-	restored []bool
 
 	// The fine-grain hardware cache: a small set of pages whose fine-grain
 	// masks are resident in "hardware". A write to a fine-grain page that
@@ -171,16 +183,15 @@ type BusStats struct {
 }
 
 // NewBus creates a bus with size bytes of RAM (rounded up to a whole page),
-// all pages initially present and writable.
+// all pages initially present and writable. No page has backing yet: a new
+// bus costs its per-page arrays, a few bytes a page, whatever its RAM size.
 func NewBus(size uint32) *Bus {
 	pages := (size + PageSize - 1) / PageSize
 	b := &Bus{
-		ram:       make([]byte, pages*PageSize),
-		attrs:     make([]Attr, pages),
+		pages:     make([]pageEntry, pages),
 		protected: make([]bool, pages),
 		fineMask:  make([]uint32, pages),
 		fineGrain: make([]bool, pages),
-		gen:       make([]uint64, pages),
 		ports:     make(map[uint16]PortDevice),
 	}
 	b.Reset()
@@ -190,10 +201,10 @@ func NewBus(size uint32) *Bus {
 // Reset returns the bus to exactly the state NewBus left it in — RAM zero,
 // every page present and writable, no protection, no MMIO or port mappings,
 // no hooks, zero Stats — and reports how many RAM pages it had to zero. The
-// cost follows what the previous user touched, not the RAM size: only dirty
-// pages (see dirty) are zeroed, and the per-page arrays are a few bytes a
-// page. A reset bus references no device and no engine, so it can be parked
-// and handed to the next tenant.
+// cost follows what the previous user touched, not the RAM size: only backed
+// pages are zeroed, and their backings go to spare for the next tenant. A
+// reset bus references no device and no engine, so it can be parked and
+// handed to the next tenant.
 //
 // NewBus itself ends in Reset, so the initial state is defined once. Every
 // field the literal below does not carry over takes its zero value: a field
@@ -201,55 +212,65 @@ func NewBus(size uint32) *Bus {
 // here, and those are what FuzzBusResetComplete compares with a fresh bus.
 func (b *Bus) Reset() int {
 	scrubbed := b.scrubRAM()
-	for i := range b.attrs {
-		b.attrs[i] = AttrPresent | AttrWritable
+	for i := range b.pages {
+		b.pages[i] = pageEntry{attr: AttrPresent | AttrWritable}
 	}
 	clear(b.protected)
 	clear(b.fineMask)
 	clear(b.fineGrain)
-	clear(b.gen)
 	clear(b.ports)
 	*b = Bus{
-		ram:        b.ram,
-		attrs:      b.attrs,
+		pages:      b.pages,
+		spare:      b.spare,
 		protected:  b.protected,
 		fineMask:   b.fineMask,
 		fineGrain:  b.fineGrain,
-		gen:        b.gen,
 		ports:      b.ports,
 		fgCacheCap: 8,
 	}
 	return scrubbed
 }
 
-// dirty reports whether RAM page p may hold a non-zero byte. This is the
-// invariant every writer of b.ram must keep: it either bumps gen[p] (CPU
-// stores, DMA, WriteRaw — the hot paths already do, for the decode caches)
-// or marks restored[p] (RestoreState, whose generations are the envelope's,
-// not its own). Reset, ExportState and RestoreState visit dirty pages only,
-// so a writer that kept neither would leak bytes to the next tenant and
-// drop them from snapshots.
-func (b *Bus) dirty(p uint32) bool {
-	return b.gen[p] != 0 || (b.restored != nil && b.restored[p])
-}
-
-// scrubRAM zeroes every dirty page and returns how many there were.
+// scrubRAM zeroes every backed page, moves its backing to spare, and returns
+// how many there were.
 func (b *Bus) scrubRAM() int {
 	n := 0
-	for p := range b.gen {
-		if b.dirty(uint32(p)) {
-			clear(b.ram[p<<PageShift : (p+1)<<PageShift])
+	for i := range b.pages {
+		if r := b.pages[i].ram; r != nil {
+			clear(r[:])
+			b.spare = append(b.spare, r)
+			b.pages[i].ram = nil
 			n++
 		}
 	}
 	return n
 }
 
+// page returns the backing of RAM page p, giving the page one first if it
+// has none: a zeroed backing from spare, or a new one. It is the only place
+// a page gains backing, and it is kept out of line and off the fast paths:
+// StoreRAM32 declines a page with no backing, and Write8 calls it only on a
+// page's first write.
+//
+//go:noinline
+func (b *Bus) page(p uint32) *[PageSize]byte {
+	pg := &b.pages[p]
+	if pg.ram == nil {
+		if n := len(b.spare); n > 0 {
+			pg.ram = b.spare[n-1]
+			b.spare = b.spare[:n-1]
+		} else {
+			pg.ram = new([PageSize]byte)
+		}
+	}
+	return pg.ram
+}
+
 // RAMSize returns the size of RAM in bytes.
-func (b *Bus) RAMSize() uint32 { return uint32(len(b.ram)) }
+func (b *Bus) RAMSize() uint32 { return uint32(len(b.pages)) << PageShift }
 
 // NumPages returns the number of RAM pages.
-func (b *Bus) NumPages() uint32 { return uint32(len(b.attrs)) }
+func (b *Bus) NumPages() uint32 { return uint32(len(b.pages)) }
 
 // SetFineGrainCacheCap sets the number of fine-grain page entries the
 // simulated hardware cache can hold (default 8).
@@ -262,40 +283,29 @@ func (b *Bus) SetFineGrainCacheCap(n int) {
 
 // SetAttr replaces the guest attributes of a page.
 func (b *Bus) SetAttr(page uint32, a Attr) {
-	if page < uint32(len(b.attrs)) {
-		b.attrs[page] = a
-		b.gen[page]++ // mapping changes invalidate content-derived caches
+	if page < uint32(len(b.pages)) {
+		b.pages[page].attr = a
+		b.pages[page].gen++ // mapping changes invalidate content-derived caches
 	}
 }
 
 // Gen returns the modification generation of a page. Pages beyond RAM report
 // 0; they can hold no cacheable content.
 func (b *Bus) Gen(page uint32) uint64 {
-	if page >= uint32(len(b.gen)) {
+	if page >= uint32(len(b.pages)) {
 		return 0
 	}
-	return b.gen[page]
-}
-
-// bumpRange advances the generation of every page intersecting
-// [addr, addr+n).
-func (b *Bus) bumpRange(addr uint32, n int) {
-	if n <= 0 {
-		return
-	}
-	for p := PageOf(addr); p <= PageOf(addr+uint32(n)-1) && p < uint32(len(b.gen)); p++ {
-		b.gen[p]++
-	}
+	return b.pages[page].gen
 }
 
 // AttrOf returns the guest attributes of the page containing addr; pages
 // beyond RAM report 0 (not present).
 func (b *Bus) AttrOf(addr uint32) Attr {
 	p := PageOf(addr)
-	if p >= uint32(len(b.attrs)) {
+	if p >= uint32(len(b.pages)) {
 		return 0
 	}
-	return b.attrs[p]
+	return b.pages[p].attr
 }
 
 // MapMMIO attaches dev at [base, base+size). The covered pages are marked
@@ -306,9 +316,9 @@ func (b *Bus) MapMMIO(base, size uint32, dev MMIODevice) {
 	}
 	b.regions = append(b.regions, mmioRegion{base: base, size: size, dev: dev})
 	for p := PageOf(base); p < PageOf(base+size-1)+1; p++ {
-		if p < uint32(len(b.attrs)) {
-			b.attrs[p] = AttrPresent | AttrMMIO
-			b.gen[p]++
+		if p < uint32(len(b.pages)) {
+			b.pages[p].attr = AttrPresent | AttrMMIO
+			b.pages[p].gen++
 		}
 	}
 }
@@ -359,19 +369,25 @@ func (b *Bus) CheckWrite(addr uint32, size int) *GuestFault {
 // slow path, so it may be conservative but never wrong.
 func (b *Bus) FastRead(addr, size uint32) bool {
 	p := addr >> PageShift
-	return p < uint32(len(b.attrs)) && (addr+size-1)>>PageShift == p &&
-		b.attrs[p]&(AttrPresent|AttrMMIO) == AttrPresent
+	return p < uint32(len(b.pages)) && (addr+size-1)>>PageShift == p &&
+		b.pages[p].attr&(AttrPresent|AttrMMIO) == AttrPresent
 }
 
 // LoadRAM32 is FastRead(addr, 4) and the little-endian read it licenses in
 // one step: ok is false, and nothing is read, for any word FastRead rejects.
 func (b *Bus) LoadRAM32(addr uint32) (v uint32, ok bool) {
 	p := addr >> PageShift
-	if p < uint32(len(b.attrs)) && (addr+3)>>PageShift == p &&
-		b.attrs[p]&(AttrPresent|AttrMMIO) == AttrPresent {
-		return binary.LittleEndian.Uint32(b.ram[addr:]), true
+	if p >= uint32(len(b.pages)) || (addr+3)>>PageShift != p {
+		return 0, false
 	}
-	return 0, false
+	pg := &b.pages[p]
+	if pg.attr&(AttrPresent|AttrMMIO) != AttrPresent {
+		return 0, false
+	}
+	if pg.ram == nil {
+		return 0, true
+	}
+	return binary.LittleEndian.Uint32(pg.ram[addr&(PageSize-1):]), true
 }
 
 // FastWrite is FastRead's store twin: a single present, writable, non-MMIO
@@ -382,8 +398,8 @@ func (b *Bus) FastWrite(addr, size uint32) bool {
 		return false
 	}
 	p := addr >> PageShift
-	return p < uint32(len(b.attrs)) && (addr+size-1)>>PageShift == p &&
-		b.attrs[p]&(AttrPresent|AttrMMIO|AttrWritable) == AttrPresent|AttrWritable &&
+	return p < uint32(len(b.pages)) && (addr+size-1)>>PageShift == p &&
+		b.pages[p].attr&(AttrPresent|AttrMMIO|AttrWritable) == AttrPresent|AttrWritable &&
 		(p >= uint32(len(b.protected)) || !b.protected[p])
 }
 
@@ -393,10 +409,10 @@ func (b *Bus) check(addr uint32, size int, write bool) *GuestFault {
 		return &GuestFault{Vector: guest.VecGP, Addr: addr, Write: write}
 	}
 	for p := PageOf(addr); ; p++ {
-		if p >= uint32(len(b.attrs)) || b.attrs[p]&AttrPresent == 0 {
+		if p >= uint32(len(b.pages)) || b.pages[p].attr&AttrPresent == 0 {
 			return &GuestFault{Vector: guest.VecPF, Addr: addr, Write: write}
 		}
-		a := b.attrs[p]
+		a := b.pages[p].attr
 		if a&AttrMMIO != 0 {
 			// MMIO accesses must be naturally aligned and not straddle the
 			// region; otherwise the device semantics are undefined.
@@ -420,10 +436,10 @@ func (b *Bus) CheckFetch(addr uint32, n int) *GuestFault {
 		return &GuestFault{Vector: guest.VecGP, Addr: addr}
 	}
 	for p := PageOf(addr); ; p++ {
-		if p >= uint32(len(b.attrs)) || b.attrs[p]&AttrPresent == 0 {
+		if p >= uint32(len(b.pages)) || b.pages[p].attr&AttrPresent == 0 {
 			return &GuestFault{Vector: guest.VecNP, Addr: addr}
 		}
-		if b.attrs[p]&AttrMMIO != 0 {
+		if b.pages[p].attr&AttrMMIO != 0 {
 			return &GuestFault{Vector: guest.VecGP, Addr: addr}
 		}
 		if p == PageOf(end) {
@@ -565,10 +581,14 @@ func (b *Bus) CheckProt(addr uint32, size int, src WriteSource) *ProtHit {
 
 // Read8 performs a guest byte load. The caller must have passed CheckRead.
 func (b *Bus) Read8(addr uint32) uint8 {
-	if b.AttrOf(addr)&AttrMMIO != 0 {
+	pg := &b.pages[addr>>PageShift]
+	if pg.attr&AttrMMIO != 0 {
 		return uint8(b.findRegion(addr).dev.MMIORead(addr, 1))
 	}
-	return b.ram[addr]
+	if pg.ram == nil {
+		return 0
+	}
+	return pg.ram[addr&(PageSize-1)]
 }
 
 // Read32 performs a guest 32-bit load (little-endian). The caller must have
@@ -590,40 +610,65 @@ func (b *Bus) Read32(addr uint32) uint32 {
 // Write8 performs a guest byte store. The caller must have passed CheckWrite
 // and handled CheckProt.
 func (b *Bus) Write8(addr uint32, v uint8) {
-	if b.AttrOf(addr)&AttrMMIO != 0 {
+	p := addr >> PageShift
+	pg := &b.pages[p]
+	if pg.attr&AttrMMIO != 0 {
 		b.findRegion(addr).dev.MMIOWrite(addr, 1, uint32(v))
 		return
 	}
-	b.ram[addr] = v
-	b.gen[PageOf(addr)]++
+	r := pg.ram
+	if r == nil {
+		r = b.page(p)
+	}
+	r[addr&(PageSize-1)] = v
+	pg.gen++
 }
 
 // Write32 performs a guest 32-bit store. The caller must have passed
 // CheckWrite and handled CheckProt.
 func (b *Bus) Write32(addr uint32, v uint32) {
+	if !b.StoreRAM32(addr, v) {
+		b.store32(addr, v)
+	}
+}
+
+// StoreRAM32 is Write32's fast path, and the whole of it for a store the
+// gated store buffer already knows is RAM: a word inside one backed,
+// non-MMIO page, stored with one generation step. It stores nothing and
+// reports false for any other word; Write32 then takes its slow path.
+// Declining a page's first write, rather than backing the page here, is
+// what keeps this inlinable.
+func (b *Bus) StoreRAM32(addr uint32, v uint32) bool {
+	p := addr >> PageShift
+	if p >= uint32(len(b.pages)) || (addr+3)>>PageShift != p {
+		return false
+	}
+	pg := &b.pages[p]
+	if pg.ram == nil || pg.attr&AttrMMIO != 0 {
+		return false
+	}
+	binary.LittleEndian.PutUint32(pg.ram[addr&(PageSize-1):], v)
+	pg.gen++
+	return true
+}
+
+// store32 is Write32 for a word StoreRAM32 declined. An MMIO word goes to
+// its device. A RAM word inside one page is the page's first write: the page
+// gets its backing and the word is stored whole, one generation step as on
+// every other word store. A word across two pages goes byte by byte.
+func (b *Bus) store32(addr uint32, v uint32) {
 	if b.AttrOf(addr)&AttrMMIO != 0 {
 		b.findRegion(addr).dev.MMIOWrite(addr, 4, v)
 		return
 	}
-	if !b.StoreRAM32(addr, v) {
-		for i := 0; i < 4; i++ {
-			b.Write8(addr+uint32(i), uint8(v>>(8*i)))
-		}
+	if p := addr >> PageShift; (addr+3)>>PageShift == p {
+		b.page(p)
+		b.StoreRAM32(addr, v)
+		return
 	}
-}
-
-// StoreRAM32 is Write32 for a word the caller knows is not MMIO (the gated
-// store buffer checked when the store entered it): it skips the device
-// dispatch. It stores nothing and reports false when the word is not inside
-// one RAM page; Write32 then goes byte by byte.
-func (b *Bus) StoreRAM32(addr uint32, v uint32) bool {
-	p := addr >> PageShift
-	if p >= uint32(len(b.gen)) || (addr+3)>>PageShift != p {
-		return false
+	for i := 0; i < 4; i++ {
+		b.Write8(addr+uint32(i), uint8(v>>(8*i)))
 	}
-	binary.LittleEndian.PutUint32(b.ram[addr:], v)
-	b.gen[p]++
-	return true
 }
 
 // PortRead reads a 32-bit value from an I/O port. Unmapped ports float high,
@@ -654,19 +699,37 @@ func (b *Bus) FetchBytes(addr uint32, dst []byte) int {
 			break
 		}
 		p := PageOf(a)
-		if p >= uint32(len(b.attrs)) || b.attrs[p]&AttrPresent == 0 || b.attrs[p]&AttrMMIO != 0 {
+		if p >= uint32(len(b.pages)) || b.pages[p].attr&(AttrPresent|AttrMMIO) != AttrPresent {
 			break
 		}
-		// Copy to end of page or end of dst.
-		pageEnd := (p + 1) << PageShift
-		m := int(pageEnd - a)
-		if m > len(dst)-n {
-			m = len(dst) - n
-		}
-		copy(dst[n:n+m], b.ram[a:uint32(a)+uint32(m)])
-		n += m
+		n += b.copyOut(dst[n:], a)
 	}
 	return n
+}
+
+// copyOut fills dst from RAM at addr, stopping at the end of addr's page,
+// and returns how many bytes it filled. A page with no backing reads as
+// zero. addr must be in RAM.
+func (b *Bus) copyOut(dst []byte, addr uint32) int {
+	off := addr & (PageSize - 1)
+	if r := b.pages[addr>>PageShift].ram; r != nil {
+		return copy(dst, r[off:])
+	}
+	n := min(len(dst), PageSize-int(off))
+	clear(dst[:n])
+	return n
+}
+
+// copyIn stores data at addr page by page, giving each page its backing and
+// advancing its generation. data must lie in RAM.
+func (b *Bus) copyIn(addr uint32, data []byte) {
+	for len(data) > 0 {
+		p := addr >> PageShift
+		n := copy(b.page(p)[addr&(PageSize-1):], data)
+		b.pages[p].gen++
+		addr += uint32(n)
+		data = data[n:]
+	}
 }
 
 // inRAM clips the n-byte range at addr to RAM and returns how many of its
@@ -675,10 +738,11 @@ func (b *Bus) FetchBytes(addr uint32, dst []byte) int {
 // image) controls; they are clipped here, once, so no caller can index past
 // RAM and the interpreter and translated paths see the same behaviour.
 func (b *Bus) inRAM(addr uint32, n int) int {
-	if n <= 0 || uint64(addr) >= uint64(len(b.ram)) {
+	size := uint64(len(b.pages)) << PageShift
+	if n <= 0 || uint64(addr) >= size {
 		return 0
 	}
-	return min(n, len(b.ram)-int(addr))
+	return int(min(uint64(n), size-uint64(addr)))
 }
 
 // ReadRaw returns a copy of n bytes of RAM at addr with no checks (for
@@ -686,8 +750,9 @@ func (b *Bus) inRAM(addr uint32, n int) int {
 // Bytes beyond RAM read as zero.
 func (b *Bus) ReadRaw(addr uint32, n int) []byte {
 	out := make([]byte, n)
-	if m := b.inRAM(addr, n); m > 0 {
-		copy(out, b.ram[addr:])
+	m := b.inRAM(addr, n)
+	for k := 0; k < m; {
+		k += b.copyOut(out[k:m], addr+uint32(k))
 	}
 	return out
 }
@@ -695,12 +760,7 @@ func (b *Bus) ReadRaw(addr uint32, n int) []byte {
 // WriteRaw stores bytes with no checks and no protection interaction (image
 // loading only). Bytes beyond RAM are dropped.
 func (b *Bus) WriteRaw(addr uint32, data []byte) {
-	n := b.inRAM(addr, len(data))
-	if n == 0 {
-		return
-	}
-	copy(b.ram[addr:], data[:n])
-	b.bumpRange(addr, n)
+	b.copyIn(addr, data[:b.inRAM(addr, len(data))])
 }
 
 // DMAWrite performs a device DMA write. DMA bypasses guest page permissions
@@ -721,6 +781,5 @@ func (b *Bus) DMAWrite(addr uint32, data []byte) {
 			b.Unprotect(p)
 		}
 	}
-	copy(b.ram[addr:], data[:n])
-	b.bumpRange(addr, n)
+	b.copyIn(addr, data[:n])
 }

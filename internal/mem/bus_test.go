@@ -104,6 +104,16 @@ func TestMMIODispatch(t *testing.T) {
 	if f := b.CheckFetch(0x8000, 2); f == nil || f.Vector != guest.VecGP {
 		t.Errorf("fetch from MMIO: %v", f)
 	}
+	// A page written before it was mapped keeps its backing, and word stores
+	// to it still reach the device, not the backing.
+	b.Write32(0xA000, 1)
+	b.MapMMIO(0xA000, PageSize, dev)
+	if b.StoreRAM32(0xA004, 2) {
+		t.Error("StoreRAM32 stored to an MMIO page")
+	}
+	if b.Write32(0xA004, 3); dev.lastWrite != 3 {
+		t.Errorf("MMIO write over a backed page = %#x", dev.lastWrite)
+	}
 }
 
 func TestMapMMIORequiresAlignment(t *testing.T) {

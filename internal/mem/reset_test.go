@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -26,15 +27,44 @@ func eachField(a, b *Bus, fn func(name string, fa, fb reflect.Value)) {
 
 // diffBus names the first field in which two buses differ. Hooks compare
 // equal only when both are nil, so a bus that still references an engine or
-// a schedule differs from a fresh one.
+// a schedule differs from a fresh one. spare is a kept allocation, not
+// state, so it is held to its own rule instead (spareFault).
 func diffBus(a, b *Bus) string {
 	diff := ""
 	eachField(a, b, func(name string, fa, fb reflect.Value) {
-		if diff == "" && !reflect.DeepEqual(fa.Interface(), fb.Interface()) {
+		if diff == "" && name != "spare" && !reflect.DeepEqual(fa.Interface(), fb.Interface()) {
 			diff = name
 		}
 	})
+	if diff == "" {
+		diff = spareFault(a)
+	}
 	return diff
+}
+
+// spareFault says what is wrong with b's spare backings, if anything: each
+// must be all zero — the next page to take one reads it as never written —
+// and must be nowhere else, neither on a page nor twice in spare.
+func spareFault(b *Bus) string {
+	seen := make(map[*[PageSize]byte]bool)
+	for _, pg := range b.pages {
+		if pg.ram != nil {
+			seen[pg.ram] = true
+		}
+	}
+	for _, r := range b.spare {
+		if seen[r] {
+			return "spare (a backing is in use twice)"
+		}
+		seen[r] = true
+		if !allZero(r[:]) {
+			return "spare (a backing is not zero)"
+		}
+	}
+	if len(b.spare) > len(b.pages) {
+		return "spare (more backings than pages)"
+	}
+	return ""
 }
 
 func TestResetRestoresNewBusState(t *testing.T) {
@@ -54,16 +84,108 @@ func TestResetRestoresNewBusState(t *testing.T) {
 	b.DMAInvalidate = func(uint32) {}
 	b.ForceProtHit = func(uint32, int, WriteSource) bool { return false }
 
-	// Pages 0, 3, 4, 5, 7 hold data; 8 (MMIO) and 9 (SetAttr) moved their
-	// generation without a byte written. Reset zeroes all seven and no more.
-	if got := b.Reset(); got != 7 {
-		t.Errorf("Reset scrubbed %d pages, want 7", got)
+	// Pages 0, 3, 4, 5, 7 hold data. 8 (MMIO) and 9 (SetAttr) moved their
+	// generation without a byte written, so they never got backing and there
+	// is nothing on them to zero: Reset scrubs the five backed pages and no
+	// more, and keeps their backings for the next tenant.
+	if got := b.Reset(); got != 5 {
+		t.Errorf("Reset scrubbed %d pages, want 5", got)
+	}
+	if len(b.spare) != 5 {
+		t.Errorf("Reset kept %d backings, want 5", len(b.spare))
 	}
 	if f := diffBus(b, NewBus(ram)); f != "" {
 		t.Fatalf("after Reset, field %q differs from a new bus", f)
 	}
 	if got := b.Reset(); got != 0 {
 		t.Errorf("second Reset scrubbed %d pages, want 0", got)
+	}
+}
+
+// Reads never give a page backing: a page nobody wrote costs nothing
+// however it is read, and reads as zero on every path.
+func TestReadsLeavePagesUnbacked(t *testing.T) {
+	const ram = 8 * PageSize
+	b := NewBus(ram)
+	var sum uint32
+	for a := uint32(0); a < ram; a += 0x3FD {
+		v, ok := b.LoadRAM32(a)
+		sum |= v | b.Read32(a) | uint32(b.Read8(a))
+		if !ok && PageOf(a) == PageOf(a+3) {
+			t.Fatalf("LoadRAM32 declined an in-page word at %#x", a)
+		}
+	}
+	buf := bytes.Repeat([]byte{0xEE}, 3*PageSize)
+	if n := b.FetchBytes(PageSize-5, buf); n != len(buf) || !allZero(buf) {
+		t.Errorf("FetchBytes over unbacked pages = %d bytes, zero=%v", n, allZero(buf))
+	}
+	if !allZero(b.ReadRaw(0, ram)) || sum != 0 {
+		t.Error("an unbacked page read as non-zero")
+	}
+	if st := b.ExportState(); len(st.Pages) != 0 {
+		t.Errorf("ExportState of an unwritten bus has %d pages", len(st.Pages))
+	}
+	for p, pg := range b.pages {
+		if pg.ram != nil {
+			t.Fatalf("page %d was given backing by a read", p)
+		}
+	}
+}
+
+// A word stored whole on a page's first write takes one generation step,
+// as it does on a backed page; a word across a backed and an unbacked page
+// backs the unbacked one and lands byte by byte.
+func TestFirstWriteBacksPage(t *testing.T) {
+	b := NewBus(4 * PageSize)
+	if b.StoreRAM32(PageSize+8, 1) {
+		t.Fatal("StoreRAM32 stored to a page with no backing")
+	}
+	b.Write32(PageSize+8, 0xAABBCCDD)
+	if b.Gen(1) != 1 || b.Read32(PageSize+8) != 0xAABBCCDD {
+		t.Fatalf("first word store: gen %d, read %#x", b.Gen(1), b.Read32(PageSize+8))
+	}
+	if !b.StoreRAM32(PageSize+12, 7) || b.Gen(1) != 2 {
+		t.Fatalf("StoreRAM32 on a backed page: gen %d", b.Gen(1))
+	}
+	b.Write32(2*PageSize-2, 0x11223344) // pages 1 (backed) and 2 (not)
+	if got := b.ReadRaw(2*PageSize-2, 4); !bytes.Equal(got, []byte{0x44, 0x33, 0x22, 0x11}) {
+		t.Errorf("straddling store read back %x", got)
+	}
+	if b.pages[2].ram == nil || b.pages[0].ram != nil || b.pages[3].ram != nil {
+		t.Error("a straddling store backed the wrong pages")
+	}
+}
+
+// Reset hands its backings to the next tenant instead of the collector, and
+// a bus recycled any number of times holds at most one backing per page.
+func TestResetReusesBackings(t *testing.T) {
+	const pages = 8
+	b := NewBus(pages * PageSize)
+	for round := 0; round < 4; round++ {
+		for p := uint32(0); p < pages; p += uint32(round%3 + 1) {
+			b.Write8(p<<PageShift+uint32(round), 0xFF)
+		}
+		b.Reset()
+		if f := spareFault(b); f != "" {
+			t.Fatalf("round %d: %s", round, f)
+		}
+	}
+	kept := append([]*[PageSize]byte(nil), b.spare...)
+	if len(kept) != pages { // round 0 wrote every page
+		t.Fatalf("Reset kept %d backings, want %d", len(kept), pages)
+	}
+	if allocs := testing.AllocsPerRun(1, func() {
+		for p := uint32(0); p < uint32(len(kept)); p++ {
+			b.Write8(p<<PageShift, 1)
+		}
+		b.Reset()
+	}); allocs != 0 {
+		t.Errorf("refilling %d pages after Reset allocated %.0f times", len(kept), allocs)
+	}
+	for _, r := range kept {
+		if !slices.Contains(b.spare, r) {
+			t.Fatal("a kept backing was dropped")
+		}
 	}
 }
 
@@ -206,7 +328,7 @@ func applyOps(b *Bus, ops []byte, restore bool) {
 		op, x, y, z := ops[0], ops[1], ops[2], ops[3]
 		addr := uint32(binary.LittleEndian.Uint16([]byte{y, x})) % (ram + PageSize)
 		page := uint32(x) % (b.NumPages() + 1)
-		switch op % 12 {
+		switch op % 13 {
 		case 0:
 			if b.CheckWrite(addr, 1) == nil && !b.IsMMIO(addr) {
 				b.Write8(addr, z)
@@ -254,6 +376,8 @@ func applyOps(b *Bus, ops []byte, restore bool) {
 			if err := b.RestoreState(st); err != nil {
 				panic("RestoreState rejected an exported state: " + err.Error())
 			}
+		case 12:
+			b.Reset() // the ops after it run on recycled backings
 		}
 	}
 }
@@ -265,6 +389,7 @@ func TestApplyOpsReachesEveryField(t *testing.T) {
 	const ram = 8 * PageSize
 	b := NewBus(ram)
 	applyOps(b, []byte{
+		0, 0, 0x10, 1, 0, 0x10, 0x10, 1, 0, 0x20, 0x10, 1, 12, 0, 0, 0, // pages 0-2 backed, Reset keeps them
 		11, 0, 0, 1, 0, 0x50, 0, 1, // RestoreState of a bus with one store
 		0, 0, 0x10, 0xAA, // store
 		4, 2, 0, 1, // SetAttr

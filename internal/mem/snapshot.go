@@ -30,30 +30,27 @@ type BusState struct {
 
 // ExportState captures the bus into a BusState. Zero-filled pages are
 // compressed away; everything else is copied, so the state is independent
-// of later bus mutations. Only dirty pages are examined, so the cost follows
+// of later bus mutations. Only backed pages are examined, so the cost follows
 // the write set, not the RAM size; a page written and then zeroed again is
 // still elided, so the state does not depend on how it was reached.
 func (b *Bus) ExportState() *BusState {
+	n := b.NumPages()
 	s := &BusState{
-		NumPages:   b.NumPages(),
-		Attrs:      append([]Attr(nil), b.attrs...),
+		NumPages:   n,
+		Attrs:      make([]Attr, n),
 		Protected:  append([]bool(nil), b.protected...),
 		FineGrain:  append([]bool(nil), b.fineGrain...),
 		FineMask:   append([]uint32(nil), b.fineMask...),
-		Gen:        append([]uint64(nil), b.gen...),
+		Gen:        make([]uint64, n),
 		FGCache:    append([]uint32(nil), b.fgCache...),
 		FGCacheCap: b.fgCacheCap,
 		Stats:      b.Stats,
 	}
-	for p := uint32(0); p < s.NumPages; p++ {
-		if !b.dirty(p) {
-			continue
+	for p, pg := range b.pages {
+		s.Attrs[p], s.Gen[p] = pg.attr, pg.gen
+		if pg.ram != nil && !allZero(pg.ram[:]) {
+			s.Pages = append(s.Pages, PageData{Index: uint32(p), Data: append([]byte(nil), pg.ram[:]...)})
 		}
-		page := b.ram[p<<PageShift : (p+1)<<PageShift]
-		if allZero(page) {
-			continue
-		}
-		s.Pages = append(s.Pages, PageData{Index: p, Data: append([]byte(nil), page...)})
 	}
 	return s
 }
@@ -98,9 +95,9 @@ func (s *BusState) RAMSize() (uint32, error) {
 // RestoreState overwrites the bus with a previously exported state. The bus
 // must have the same RAM size the state was captured from. Generations are
 // restored verbatim — NOT bumped — so content caches filled before capture
-// remain exactly as valid as they were; the pages populated are recorded in
-// restored instead, so they stay dirty whatever generation they carry. A
-// state that fails validation leaves the bus untouched. MMIO and port
+// remain exactly as valid as they were; the pages populated get backing, so
+// they stay visible to Reset and ExportState whatever generation they carry.
+// A state that fails validation leaves the bus untouched. MMIO and port
 // mappings and the hooks are topology and are left alone.
 func (b *Bus) RestoreState(s *BusState) error {
 	size, err := s.RAMSize()
@@ -111,16 +108,15 @@ func (b *Bus) RestoreState(s *BusState) error {
 		return fmt.Errorf("mem: snapshot has %d pages, bus has %d", s.NumPages, b.NumPages())
 	}
 	b.scrubRAM()
-	b.restored = make([]bool, s.NumPages)
 	for _, pg := range s.Pages {
-		copy(b.ram[pg.Index<<PageShift:], pg.Data)
-		b.restored[pg.Index] = true
+		copy(b.page(pg.Index)[:], pg.Data)
 	}
-	copy(b.attrs, s.Attrs)
+	for p := range b.pages {
+		b.pages[p].attr, b.pages[p].gen = s.Attrs[p], s.Gen[p]
+	}
 	copy(b.protected, s.Protected)
 	copy(b.fineGrain, s.FineGrain)
 	copy(b.fineMask, s.FineMask)
-	copy(b.gen, s.Gen)
 	b.fgCache = append(b.fgCache[:0], s.FGCache...)
 	if s.FGCacheCap > 0 {
 		b.fgCacheCap = s.FGCacheCap
