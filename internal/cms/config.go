@@ -9,8 +9,6 @@
 package cms
 
 import (
-	"time"
-
 	"cms/internal/tcache"
 	"cms/internal/vliw"
 	"cms/internal/xlate"
@@ -129,10 +127,6 @@ type Config struct {
 	// wall-clock-only (re-translation charges the same simulated cost), so
 	// Metrics stay bit-identical to a solo run.
 	RollbackStormThreshold uint32
-
-	// PoisonTTL is how long storm- or panic-implicated keys stay
-	// quarantined (0 = tcache.DefaultPoisonTTL).
-	PoisonTTL time.Duration
 }
 
 // ValidBackend reports whether s is a recognized Config.Backend value:

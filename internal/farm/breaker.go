@@ -7,10 +7,11 @@ import "sync/atomic"
 // (the farm's lock-layout contract). When the ring is full and at least half
 // its outcomes are failures or timeouts, the breaker opens and Submit sheds
 // load with ErrBreakerOpen — distinct from ErrQueueFull backpressure: the
-// queue may be empty, the farm is just hurting. While open, every probe-th
-// submission is still admitted; the first success recorded (a probe, or a
-// still-draining queued job) closes the breaker and forgives the window, so
-// a transient failure storm self-heals without operator action.
+// queue may be empty, the farm is just hurting. While open, every
+// breakerProbe-th submission is still admitted; the first success recorded
+// (a probe, or a still-draining queued job) closes the breaker and forgives
+// the window, so a transient failure storm self-heals without operator
+// action.
 //
 // The ring is deliberately approximate under concurrency: slots are written
 // racily relative to the open/closed decision, so the breaker may open one
@@ -22,16 +23,17 @@ type breaker struct {
 	open   atomic.Bool
 	probes atomic.Uint64
 	shed   atomic.Uint64
-	probe  uint64
 }
 
+// breakerProbe is the probe admission period while the breaker is open.
+const breakerProbe = 8
+
 // init sizes the ring. window < 0 disables the breaker entirely.
-func (b *breaker) init(window, probe int) {
+func (b *breaker) init(window int) {
 	if window < 0 {
 		return
 	}
 	b.slots = make([]atomic.Uint32, window)
-	b.probe = uint64(probe)
 }
 
 // admit reports whether a submission may proceed. Closed (or disabled)
@@ -40,7 +42,7 @@ func (b *breaker) admit() bool {
 	if len(b.slots) == 0 || !b.open.Load() {
 		return true
 	}
-	if b.probes.Add(1)%b.probe == 0 {
+	if b.probes.Add(1)%breakerProbe == 0 {
 		return true
 	}
 	b.shed.Add(1)

@@ -83,9 +83,7 @@ func TestFarmDifferential(t *testing.T) {
 		solo[w.Name] = soloRun(t, w, cfg)
 	}
 
-	// StoreShards forced wide: the byte-identity contract must hold across
-	// shard boundaries, not just on whatever GOMAXPROCS this host has.
-	f := New(Config{MaxVMs: 4, QueueDepth: 2 * len(ws), Engine: cfg, StoreShards: 8})
+	f := New(Config{MaxVMs: 4, QueueDepth: 2 * len(ws), Engine: cfg})
 	var ids []string
 	for _, w := range ws {
 		v, err := f.Submit(JobSpec{Workload: w.Name})
@@ -131,8 +129,7 @@ func TestFarmDifferential(t *testing.T) {
 func runMixedFarm(t *testing.T, ws []workload.Workload, backends []string,
 	copies int, cfg cms.Config, solo map[string]*Result) tcache.SharedStats {
 	t.Helper()
-	f := New(Config{MaxVMs: 4, QueueDepth: copies * len(backends) * len(ws),
-		Engine: cfg, StoreShards: 8})
+	f := New(Config{MaxVMs: 4, QueueDepth: copies * len(backends) * len(ws), Engine: cfg})
 	var ids []string
 	for i := 0; i < copies; i++ {
 		for _, w := range ws {

@@ -19,10 +19,9 @@
 // to register the job. Runners never touch the job table: a job travels to
 // its runner through the queue channel, and all per-job lifecycle state is
 // guarded by that job's own mutex, so observers snapshotting one job never
-// block another job's runner. Counters hot enough to be touched per job
-// (queued/active) are atomics; per-runner aggregates live in cache-line-
-// padded shards owned by one runner each and are folded only when Stats()
-// is read.
+// block another job's runner. Every farm counter is an atomic, read
+// without a lock by Stats(); the shared store is one mutex held only for a
+// map probe and an LRU touch.
 package farm
 
 import (
@@ -55,10 +54,6 @@ type Config struct {
 	QueueDepth int
 	// StoreCapAtoms bounds the shared translation store (0 = default).
 	StoreCapAtoms int
-	// StoreShards overrides the shared store's shard count (0 = size from
-	// GOMAXPROCS). Tests force a wide array so cross-shard behavior is
-	// exercised even on small hosts.
-	StoreShards int
 	// Engine is the per-VM engine configuration template. Its SharedStore
 	// field is overwritten with the farm's store.
 	Engine cms.Config
@@ -80,10 +75,8 @@ type Config struct {
 	// (0 = default 32, negative = breaker disabled). The breaker opens when
 	// the window is full and at least half its outcomes are failures or
 	// timeouts; while open, Submit sheds load with ErrBreakerOpen, admitting
-	// every BreakerProbe-th request as a probe. Any success closes it.
+	// every breakerProbe-th request as a probe. Any success closes it.
 	BreakerWindow int
-	// BreakerProbe is the probe admission period while open (default 8).
-	BreakerProbe int
 }
 
 func (c Config) normalized() Config {
@@ -98,9 +91,6 @@ func (c Config) normalized() Config {
 	}
 	if c.BreakerWindow == 0 {
 		c.BreakerWindow = 32
-	}
-	if c.BreakerProbe <= 0 {
-		c.BreakerProbe = 8
 	}
 	return c
 }
@@ -284,11 +274,9 @@ var (
 	ErrBreakerOpen = errors.New("farm: circuit breaker open, shedding load")
 )
 
-// runnerCounters is one runner's slice of the farm aggregates. Each runner
-// owns exactly one element of Farm.runners and is the only writer; Stats()
-// folds them on read. The atomics are uncontended in steady state, and the
-// trailing pad keeps neighbouring runners' counters off one cache line.
-type runnerCounters struct {
+// counters are the farm's job and VM aggregates, written by the runners
+// and read by Stats().
+type counters struct {
 	done         atomic.Uint64
 	failed       atomic.Uint64
 	timeouts     atomic.Uint64 // jobs preempted by the watchdog
@@ -304,7 +292,6 @@ type runnerCounters struct {
 	vmBuilds     atomic.Uint64 // guest RAM allocated (first job, or RAM size changed)
 	vmReuses     atomic.Uint64 // attempts served on the slot's recycled RAM
 	scrubbed     atomic.Uint64 // RAM pages zeroed by the scrubs
-	_            [64]byte
 }
 
 // vmSlot is the one guest VM a runner keeps between jobs. What it keeps is
@@ -316,7 +303,7 @@ type runnerCounters struct {
 // ran it, and are gone before that runner takes another job.
 type vmSlot struct {
 	bus *mem.Bus
-	rc  *runnerCounters
+	ctr *counters
 }
 
 // acquire returns the slot's bus for an attempt that needs ram bytes, in its
@@ -324,11 +311,11 @@ type vmSlot struct {
 // the previous job's.
 func (s *vmSlot) acquire(ram uint32) *mem.Bus {
 	if s.bus != nil && s.bus.NumPages() == (ram+mem.PageSize-1)/mem.PageSize {
-		s.rc.vmReuses.Add(1)
+		s.ctr.vmReuses.Add(1)
 		return s.bus
 	}
 	s.bus = mem.NewBus(ram)
-	s.rc.vmBuilds.Add(1)
+	s.ctr.vmBuilds.Add(1)
 	return s.bus
 }
 
@@ -337,7 +324,7 @@ func (s *vmSlot) acquire(ram uint32) *mem.Bus {
 // checkpoint — because Bus.Reset takes the bus as it finds it.
 func (s *vmSlot) scrub() {
 	if s.bus != nil {
-		s.rc.scrubbed.Add(uint64(s.bus.Reset()))
+		s.ctr.scrubbed.Add(uint64(s.bus.Reset()))
 	}
 }
 
@@ -369,26 +356,25 @@ type Farm struct {
 
 	breaker breaker
 
-	runners []runnerCounters
+	ctr counters
 }
 
 // New starts a farm: MaxVMs runner goroutines over an empty shared store.
 func New(cfg Config) *Farm {
 	cfg = cfg.normalized()
 	f := &Farm{
-		cfg:     cfg,
-		store:   tcache.NewSharedShards(cfg.StoreCapAtoms, cfg.StoreShards),
-		queue:   make(chan *job, cfg.QueueDepth),
-		jobs:    make(map[string]*job),
-		runners: make([]runnerCounters, cfg.MaxVMs),
+		cfg:   cfg,
+		store: tcache.NewShared(cfg.StoreCapAtoms),
+		queue: make(chan *job, cfg.QueueDepth),
+		jobs:  make(map[string]*job),
 	}
-	f.breaker.init(cfg.BreakerWindow, cfg.BreakerProbe)
+	f.breaker.init(cfg.BreakerWindow)
 	if cfg.IncidentDir != "" {
 		_ = os.MkdirAll(cfg.IncidentDir, 0o755) // best-effort; writes degrade gracefully
 	}
 	f.wg.Add(cfg.MaxVMs)
 	for i := 0; i < cfg.MaxVMs; i++ {
-		go f.runner(i)
+		go f.runner()
 	}
 	return f
 }
@@ -648,50 +634,47 @@ type Stats struct {
 	Retranslations uint64 // adaptive retranslation events
 }
 
-// Stats returns the farm's counters, folded from the per-runner shards and
-// the store's per-shard atomics. It takes no farm-wide lock and is safe to
-// call at any rate while jobs run.
+// Stats returns the farm's counters and the store's. It takes no farm-wide
+// lock and is safe to call at any rate while jobs run.
 func (f *Farm) Stats() Stats {
+	c := &f.ctr
 	st := Stats{
-		VMs:         f.cfg.MaxVMs,
-		Active:      int(f.active.Load()),
-		Queued:      int(f.queued.Load()),
-		Submitted:   f.submitted.Load(),
-		Incidents:   f.incidents.Load(),
-		BreakerOpen: f.breaker.isOpen(),
-		BreakerShed: f.breaker.shedCount(),
-		Store:       f.store.Stats(),
+		VMs:            f.cfg.MaxVMs,
+		Active:         int(f.active.Load()),
+		Queued:         int(f.queued.Load()),
+		Done:           c.done.Load(),
+		Failed:         c.failed.Load(),
+		Submitted:      f.submitted.Load(),
+		Timeouts:       c.timeouts.Load(),
+		Checkpoints:    c.checkpoints.Load(),
+		Panics:         c.panics.Load(),
+		Retries:        c.retries.Load(),
+		RetrySuccesses: c.retrySuccess.Load(),
+		Incidents:      f.incidents.Load(),
+		BreakerOpen:    f.breaker.isOpen(),
+		BreakerShed:    f.breaker.shedCount(),
+		VMBuilds:       c.vmBuilds.Load(),
+		VMReuses:       c.vmReuses.Load(),
+		ScrubbedPages:  c.scrubbed.Load(),
+		Store:          f.store.Stats(),
+		GuestInsns:     c.guest.Load(),
+		Mols:           c.mols.Load(),
+		Translations:   c.xlate.Load(),
+		Rollbacks:      c.rollbacks.Load(),
+		Retranslations: c.retrans.Load(),
 	}
 	if st.Queued < 0 {
 		st.Queued = 0 // transient: a runner decremented before Submit's increment landed
-	}
-	for i := range f.runners {
-		r := &f.runners[i]
-		st.Done += r.done.Load()
-		st.Failed += r.failed.Load()
-		st.Timeouts += r.timeouts.Load()
-		st.Checkpoints += r.checkpoints.Load()
-		st.Panics += r.panics.Load()
-		st.Retries += r.retries.Load()
-		st.RetrySuccesses += r.retrySuccess.Load()
-		st.GuestInsns += r.guest.Load()
-		st.Mols += r.mols.Load()
-		st.Translations += r.xlate.Load()
-		st.Rollbacks += r.rollbacks.Load()
-		st.Retranslations += r.retrans.Load()
-		st.VMBuilds += r.vmBuilds.Load()
-		st.VMReuses += r.vmReuses.Load()
-		st.ScrubbedPages += r.scrubbed.Load()
 	}
 	return st
 }
 
 // runner is one VM slot: it executes queued jobs to completion, one at a
 // time, until the queue closes. Lifecycle updates touch only the job's own
-// mutex and this runner's counter shard — never a farm-wide lock.
-func (f *Farm) runner(slot int) {
+// mutex and the farm's atomic counters — never a farm-wide lock.
+func (f *Farm) runner() {
 	defer f.wg.Done()
-	vm := &vmSlot{rc: &f.runners[slot]}
+	vm := &vmSlot{ctr: &f.ctr}
 	for j := range f.queue {
 		f.active.Add(1)
 		f.queued.Add(-1)
@@ -753,9 +736,9 @@ func demote(c cms.Config) (cms.Config, string, bool) {
 // rung is the conservative retranslation. It returns when the last
 // Engine.Run returned, which is where the runner's teardown time starts.
 func (f *Farm) process(j *job, vm *vmSlot) (runEnd time.Time) {
-	rc := vm.rc
+	c := &f.ctr
 	out := f.attempt(j, vm, 0, f.cfg.Engine, rungName(f.cfg.Engine))
-	countAttempt(rc, out)
+	c.countAttempt(out)
 	incidents := out.incidents()
 	constructNs := out.constructNs
 	retried := false
@@ -766,10 +749,10 @@ func (f *Farm) process(j *job, vm *vmSlot) (runEnd time.Time) {
 		if demoted, drung, ok := demote(f.cfg.Engine); ok {
 			retried = true
 			firstErr = out.err.Error()
-			rc.retries.Add(1)
+			c.retries.Add(1)
 			vm.scrub() // the retry starts from a clean VM, like any job
 			out = f.attempt(j, vm, 1, demoted, drung)
-			countAttempt(rc, out)
+			c.countAttempt(out)
 			incidents = append(incidents, out.incidents()...)
 			constructNs += out.constructNs
 		}
@@ -802,17 +785,17 @@ func (f *Farm) process(j *job, vm *vmSlot) (runEnd time.Time) {
 	case out.snap != nil:
 		// A checkpoint is a healthy preemption, not a failure: the breaker
 		// must not open because a drain swept the farm.
-		rc.checkpoints.Add(1)
+		c.checkpoints.Add(1)
 		f.breaker.record(false)
 	case out.res != nil:
 		res := out.res
 		if retried {
-			rc.retrySuccess.Add(1)
+			c.retrySuccess.Add(1)
 		}
-		rc.done.Add(1)
-		rc.guest.Add(res.GuestInsns)
-		rc.mols.Add(res.Mols)
-		rc.xlate.Add(res.Metrics.Translations)
+		c.done.Add(1)
+		c.guest.Add(res.GuestInsns)
+		c.mols.Add(res.Mols)
+		c.xlate.Add(res.Metrics.Translations)
 		var rb, rt uint64
 		for _, n := range res.Metrics.Faults {
 			rb += n
@@ -820,24 +803,23 @@ func (f *Farm) process(j *job, vm *vmSlot) (runEnd time.Time) {
 		for _, n := range res.Metrics.Adaptations {
 			rt += n
 		}
-		rc.rollbacks.Add(rb)
-		rc.retrans.Add(rt)
+		c.rollbacks.Add(rb)
+		c.retrans.Add(rt)
 		f.breaker.record(false)
 	case out.kind == incident.KindTimeout:
-		rc.timeouts.Add(1)
+		c.timeouts.Add(1)
 		f.breaker.record(true)
 	default:
-		rc.failed.Add(1)
+		c.failed.Add(1)
 		f.breaker.record(true)
 	}
 	return out.runEnd
 }
 
-// countAttempt folds per-attempt (not per-job) outcomes into the runner's
-// counter shard.
-func countAttempt(rc *runnerCounters, out attemptOut) {
+// countAttempt folds per-attempt (not per-job) outcomes into the counters.
+func (c *counters) countAttempt(out attemptOut) {
 	if out.kind == incident.KindPanic {
-		rc.panics.Add(1)
+		c.panics.Add(1)
 	}
 }
 
@@ -1000,7 +982,7 @@ func (f *Farm) attempt(j *job, vm *vmSlot, n int, engCfg cms.Config, rung string
 		// Contain the blast radius: quarantine the shared artifact that was
 		// executing (best single suspect) so other VMs stop importing it.
 		if key, ok := e.ImplicatedKey(); ok {
-			f.store.Poison(key, engCfg.PoisonTTL)
+			f.store.Poison(key, 0)
 		}
 		return fail(incident.KindPanic, fmt.Sprintf("panic: %v", panicVal), true)
 	case errors.Is(runErr, cms.ErrCancelled) && j.checkpoint.Load():

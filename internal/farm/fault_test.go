@@ -187,7 +187,7 @@ func TestWatchdogDeadline(t *testing.T) {
 // with ErrBreakerOpen while probe admissions slip through, and the first
 // probe that succeeds closes the breaker and restores normal admission.
 func TestBreakerOpensShedsAndCloses(t *testing.T) {
-	f := New(Config{MaxVMs: 1, QueueDepth: 16, BreakerWindow: 4, BreakerProbe: 2, DisableRetry: true})
+	f := New(Config{MaxVMs: 1, QueueDepth: 16, BreakerWindow: 4, DisableRetry: true})
 	defer f.Drain()
 	for i := 0; i < 4; i++ {
 		if _, err := f.Submit(JobSpec{Source: "not a program"}); err != nil {
@@ -307,7 +307,7 @@ func TestChaosServing(t *testing.T) {
 	const jobs = 240
 	dir := t.TempDir()
 	eng := cms.DefaultConfig()
-	f := New(Config{MaxVMs: 8, QueueDepth: jobs + 8, Engine: eng, IncidentDir: dir, BreakerWindow: -1, StoreShards: 8})
+	f := New(Config{MaxVMs: 8, QueueDepth: jobs + 8, Engine: eng, IncidentDir: dir, BreakerWindow: -1})
 
 	ew, err := workload.ByName("eqntott")
 	if err != nil {

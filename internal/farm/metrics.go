@@ -84,7 +84,6 @@ func WriteMetrics(w io.Writer, f *Farm) {
 	gauge("cms_farm_store_poisoned_keys", "Content keys currently quarantined.", st.Store.Poisoned)
 	gauge("cms_farm_store_entries", "Artifacts resident in the shared store.", st.Store.Entries)
 	gauge("cms_farm_store_atoms", "Code atoms resident in the shared store.", st.Store.Atoms)
-	gauge("cms_farm_store_shards", "Width of the shared store's shard array.", st.Store.Shards)
 	gauge("cms_farm_store_dedup_ratio", "Fraction of translation requests deduplicated (hits+waits over all).", st.Store.DedupRatio())
 
 	counter("cms_farm_guest_insns_total", "Guest instructions retired across completed jobs.", st.GuestInsns)

@@ -345,7 +345,7 @@ func TestRecycledVMDifferential(t *testing.T) {
 func TestRecycledVMCanary(t *testing.T) {
 	const ram = 1 << 21
 	disk := bytes.Repeat([]byte{0xD1}, 4*dev.SectorSize)
-	vm := &vmSlot{rc: &runnerCounters{}}
+	vm := &vmSlot{ctr: &counters{}}
 
 	a := dev.NewPlatformOn(vm.acquire(ram), disk)
 	a.Bus.WriteRaw(0, bytes.Repeat([]byte{0xC5}, ram))
@@ -360,7 +360,7 @@ func TestRecycledVMCanary(t *testing.T) {
 	a.Bus.PortWrite(dev.TimerPeriodPort, 0xC5)
 	a.Bus.PortWrite(dev.DiskAddrPort, 0xC5C5)
 	vm.scrub()
-	if got := vm.rc.scrubbed.Load(); got != ram>>12 {
+	if got := vm.ctr.scrubbed.Load(); got != ram>>12 {
 		t.Errorf("scrubbed %d pages, want all %d", got, ram>>12)
 	}
 
@@ -377,13 +377,13 @@ func TestRecycledVMCanary(t *testing.T) {
 	if bytes.Contains(bj, []byte("xcXF")) { // base64 of C5 C5 C5
 		t.Error("the canary pattern survives in the exported state")
 	}
-	if vm.rc.vmBuilds.Load() != 1 || vm.rc.vmReuses.Load() != 1 {
-		t.Errorf("builds %d reuses %d, want 1 and 1", vm.rc.vmBuilds.Load(), vm.rc.vmReuses.Load())
+	if vm.ctr.vmBuilds.Load() != 1 || vm.ctr.vmReuses.Load() != 1 {
+		t.Errorf("builds %d reuses %d, want 1 and 1", vm.ctr.vmBuilds.Load(), vm.ctr.vmReuses.Load())
 	}
 	// A job with another RAM size gets RAM of that size, never a slice of
 	// the old one.
-	if small := vm.acquire(ram / 2); small.RAMSize() != ram/2 || vm.rc.vmBuilds.Load() != 2 {
-		t.Errorf("resized slot: %d bytes, %d builds", small.RAMSize(), vm.rc.vmBuilds.Load())
+	if small := vm.acquire(ram / 2); small.RAMSize() != ram/2 || vm.ctr.vmBuilds.Load() != 2 {
+		t.Errorf("resized slot: %d bytes, %d builds", small.RAMSize(), vm.ctr.vmBuilds.Load())
 	}
 }
 

@@ -94,10 +94,9 @@ func CheckProgram(p *Program, opts CheckOptions) *Divergence {
 	// interpreter, held to the same contract on both axes.
 	riscBackend := func(c *cms.Config) { c.Backend = "risc" }
 	riscRun := run("risc", riscBackend, nil)
-	// A forced-wide shard array: on small hosts NewShared would collapse to
-	// one shard, and the shared runs must prove cross-shard routing is as
-	// invisible as the store itself.
-	store := tcache.NewSharedShards(0, 4)
+	// One store across the shared legs: the second run is served from the
+	// first's artifacts and must stay as invisible as the store itself.
+	store := tcache.NewShared(0)
 	shared := func(c *cms.Config) { c.SharedStore = store }
 	sharedA := run("sharedA", shared, nil)
 	sharedB := run("sharedB", shared, nil)
@@ -113,7 +112,7 @@ func CheckProgram(p *Program, opts CheckOptions) *Divergence {
 			// class must discard its lazy flag images with the rest of the
 			// speculative state.
 			run("inj-risc", riscBackend, NewSchedule(p.Seed^0x5A5A)),
-			// Injected evictions against the warm sharded store: forced
+			// Injected evictions against the warm shared store: forced
 			// invalidations make the VM re-request regions the store still
 			// holds, so the hit path runs mid-schedule and must stay
 			// architecturally invisible.
@@ -146,7 +145,7 @@ func CheckProgram(p *Program, opts CheckOptions) *Divergence {
 	// Cold store: the restore half gets an empty store, so every cached
 	// translation is deterministically re-translated at rehydration.
 	snapCold := snapLeg("snap-shared-cold", shared, 2,
-		func(c *cms.Config) { c.SharedStore = tcache.NewSharedShards(0, 4) }, nil, nil)
+		func(c *cms.Config) { c.SharedStore = tcache.NewShared(0) }, nil, nil)
 	// Random-boundary snapshot under the risc backend, against the store
 	// the vliw shared legs already warmed: the capture half populates
 	// risc-tagged keys beside the vliw-tagged ones, and the restore half

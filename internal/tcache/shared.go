@@ -3,9 +3,7 @@ package tcache
 import (
 	"bytes"
 	"container/list"
-	"encoding/binary"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -31,45 +29,18 @@ import (
 // it charges the same simulated translation cost either way, so per-VM
 // Metrics and final guest state are bit-identical to a solo run.
 //
-// Scaling model: the store is sharded by key prefix into a power-of-two
-// array of independent shards, each with its own mutex, LRU list, atom
-// sub-budget, and single-flight table. xlate.Key is a SHA-256, so any
-// prefix of it is uniform; concurrent VMs hitting *different* hot regions
-// land on different shards and never touch the same lock. Event counters
-// are per-shard atomics, aggregated only when Stats() is called — the hit
-// path takes exactly one shard mutex (for the LRU touch) and nothing
-// process-wide.
+// Concurrency model: one mutex guards the entry map, the LRU list, the
+// in-flight table, the poison map and the atom budget. The SHA-256 content
+// key — most of a lookup's cost — is computed before the lock is taken, and
+// a hit holds the lock only for the map probe and the LRU touch. Event
+// counters are atomics, so counting never extends a critical section.
 //
-// Concurrent misses on the same key are single-flighted within the key's
-// shard: the first VM translates, later VMs wait for its result rather than
-// duplicating the work. Capacity is bounded in atoms, split evenly across
-// shards; insertion evicts least-recently-used entries of that shard (a
-// wall-clock-only decision — an evicted region simply translates again on
-// its next miss, so per-shard LRU is as safe as global LRU).
+// Concurrent misses on the same key are single-flighted: the first VM
+// translates, later VMs wait for its result rather than duplicating the
+// work. Capacity is bounded in atoms; insertion evicts least-recently-used
+// entries (a wall-clock-only decision — an evicted region simply translates
+// again on its next miss).
 type SharedStore struct {
-	shards []storeShard
-	mask   uint64 // len(shards)-1; len is a power of two
-}
-
-// DefaultSharedCapAtoms is the default shared-store budget: a few VM-caches
-// worth of code, since the store backs many VMs at once.
-const DefaultSharedCapAtoms = 4 << 20
-
-// maxShards bounds the shard array; beyond this, shard-selection locality
-// costs more than lock spreading buys.
-const maxShards = 256
-
-// DefaultPoisonTTL is how long a poisoned key stays quarantined when the
-// caller does not choose a TTL. Long enough that a misbehaving artifact
-// cannot flap back into every VM, short enough that a transient host problem
-// (a since-fixed bug, a freak allocation failure) does not permanently
-// degrade a hot region to private translation.
-const DefaultPoisonTTL = 30 * time.Second
-
-// storeShard is one independent slice of the key space. Counters are
-// atomics so the miss path never takes the mutex just to count; mu guards
-// only the entry map, LRU list, in-flight table, and atom accounting.
-type storeShard struct {
 	hits       atomic.Uint64
 	waits      atomic.Uint64
 	misses     atomic.Uint64
@@ -92,13 +63,20 @@ type storeShard struct {
 	// translates privately and a bad shared artifact cannot cascade. Expired
 	// deadlines are reaped lazily on lookup and in Stats.
 	poison   map[xlate.Key]time.Time
-	capAtoms int // this shard's slice of the store budget
+	capAtoms int
 	curAtoms int
-
-	// Pad shards apart so neighbouring shards' mutexes and counters never
-	// share a cache line (the whole point of sharding).
-	_ [64]byte
 }
+
+// DefaultSharedCapAtoms is the default shared-store budget: a few VM-caches
+// worth of code, since the store backs many VMs at once.
+const DefaultSharedCapAtoms = 4 << 20
+
+// DefaultPoisonTTL is how long a poisoned key stays quarantined when the
+// caller does not choose a TTL. Long enough that a misbehaving artifact
+// cannot flap back into every VM, short enough that a transient host problem
+// (a since-fixed bug, a freak allocation failure) does not permanently
+// degrade a hot region to private translation.
+const DefaultPoisonTTL = 30 * time.Second
 
 type sharedEntry struct {
 	key   xlate.Key
@@ -119,10 +97,10 @@ type flight struct {
 // SharedStats counts store events. Hits are immediate cache hits; Waits are
 // requests that piggybacked on another VM's in-flight translation (dedup
 // hits too, but the requester paid the wall-clock wait); Misses ran the
-// backend. Totals are aggregated from per-shard atomic counters: each field
-// is a consistent sum, but fields read while the store is under load may be
-// skewed by in-flight requests (Hits+Waits+Misses always equals the number
-// of Translate calls that have passed their counting point).
+// backend. The counters are atomics read without the store lock: each field
+// is exact, but fields read while the store is under load may be skewed by
+// in-flight requests (Hits+Waits+Misses always equals the number of
+// Translate calls that have passed their counting point).
 type SharedStats struct {
 	Hits      uint64
 	Waits     uint64
@@ -130,7 +108,6 @@ type SharedStats struct {
 	Evictions uint64
 	Entries   int
 	Atoms     int
-	Shards    int
 
 	// Poisons counts quarantine events (Poison calls plus backend panics
 	// converted in place); PoisonHits counts lookups that bypassed the cache
@@ -158,51 +135,20 @@ func (s SharedStats) DedupRatio() float64 {
 	return float64(s.Hits+s.Waits) / float64(total)
 }
 
-// NewShared returns an empty shared store (capAtoms 0 = default), sharded
-// for the process's current GOMAXPROCS.
+// NewShared returns an empty shared store holding at most capAtoms code
+// atoms (0 = DefaultSharedCapAtoms).
 func NewShared(capAtoms int) *SharedStore {
-	return NewSharedShards(capAtoms, 0)
-}
-
-// NewSharedShards is NewShared with an explicit shard count (rounded up to
-// a power of two, capped; 0 = size from GOMAXPROCS). Tests use it to force
-// a single global shard (exact LRU/budget semantics) or a wide array
-// (cross-shard invariants); production callers want NewShared.
-func NewSharedShards(capAtoms, shards int) *SharedStore {
 	if capAtoms <= 0 {
 		capAtoms = DefaultSharedCapAtoms
 	}
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
+	return &SharedStore{
+		entries:  make(map[xlate.Key]*sharedEntry),
+		lru:      list.New(),
+		inflight: make(map[xlate.Key]*flight),
+		poison:   make(map[xlate.Key]time.Time),
+		capAtoms: capAtoms,
 	}
-	n := 1
-	for n < shards && n < maxShards {
-		n <<= 1
-	}
-	s := &SharedStore{shards: make([]storeShard, n), mask: uint64(n - 1)}
-	per := capAtoms / n
-	if per < 1 {
-		per = 1
-	}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.entries = make(map[xlate.Key]*sharedEntry)
-		sh.lru = list.New()
-		sh.inflight = make(map[xlate.Key]*flight)
-		sh.poison = make(map[xlate.Key]time.Time)
-		sh.capAtoms = per
-	}
-	return s
 }
-
-// shard maps a key to its shard by prefix. The key is a SHA-256, so the
-// leading 8 bytes are uniformly distributed over shards.
-func (s *SharedStore) shard(key xlate.Key) *storeShard {
-	return &s.shards[binary.LittleEndian.Uint64(key[:8])&s.mask]
-}
-
-// NumShards reports the width of the shard array (for metrics and tests).
-func (s *SharedStore) NumShards() int { return len(s.shards) }
 
 // Translate returns the translation for the frozen request, running the
 // backend at most once per content key across all callers. hit reports
@@ -210,53 +156,51 @@ func (s *SharedStore) NumShards() int { return len(s.shards) }
 // in-flight run). Errors are returned to every waiter and never cached —
 // the next requester retries.
 //
-// The hot path touches only the key's shard: the SHA-256 key is computed
-// outside any lock, and a hit costs one shard-mutex acquisition for the
-// LRU touch plus one atomic increment.
+// The SHA-256 key is computed outside the lock; a hit costs one mutex
+// acquisition for the LRU touch plus one atomic increment.
 func (s *SharedStore) Translate(req *xlate.Request) (t *xlate.Translation, hit bool, err error) {
 	key := req.Key()
-	sh := s.shard(key)
-	sh.mu.Lock()
-	if until, bad := sh.poison[key]; bad {
+	s.mu.Lock()
+	if until, bad := s.poison[key]; bad {
 		if time.Now().Before(until) {
 			// Quarantined: translate privately for this caller — no cache,
 			// no single-flight — so a bad artifact (or a backend that panics
 			// on this input) is contained to one VM at a time.
-			sh.mu.Unlock()
-			sh.poisonHits.Add(1)
-			t, err = sh.runBackend(key, req)
+			s.mu.Unlock()
+			s.poisonHits.Add(1)
+			t, err = s.runBackend(key, req)
 			return t, false, err
 		}
-		delete(sh.poison, key) // TTL expired: the key rejoins normal sharing
+		delete(s.poison, key) // TTL expired: the key rejoins normal sharing
 	}
-	if e := sh.entries[key]; e != nil {
+	if e := s.entries[key]; e != nil {
 		e.hits++
-		sh.lru.MoveToFront(e.elem)
-		sh.mu.Unlock()
-		sh.hits.Add(1)
+		s.lru.MoveToFront(e.elem)
+		s.mu.Unlock()
+		s.hits.Add(1)
 		return e.t, true, nil
 	}
-	if f := sh.inflight[key]; f != nil {
-		sh.mu.Unlock()
-		sh.waits.Add(1)
+	if f := s.inflight[key]; f != nil {
+		s.mu.Unlock()
+		s.waits.Add(1)
 		<-f.done
 		return f.t, true, f.err
 	}
 	f := &flight{done: make(chan struct{})}
-	sh.inflight[key] = f
-	sh.mu.Unlock()
-	sh.misses.Add(1)
+	s.inflight[key] = f
+	s.mu.Unlock()
+	s.misses.Add(1)
 
-	f.t, f.err = sh.runBackend(key, req)
+	f.t, f.err = s.runBackend(key, req)
 
-	sh.mu.Lock()
-	delete(sh.inflight, key)
+	s.mu.Lock()
+	delete(s.inflight, key)
 	if f.err == nil {
 		f.t.SharedKey = key
 		f.t.HasSharedKey = true
-		sh.insert(key, f.t)
+		s.insert(key, f.t)
 	}
-	sh.mu.Unlock()
+	s.mu.Unlock()
 	close(f.done)
 	return f.t, false, f.err
 }
@@ -266,12 +210,10 @@ func (s *SharedStore) Translate(req *xlate.Request) (t *xlate.Translation, hit b
 // dangerous to whoever translates it, so no other VM should be handed a
 // shared artifact (or join a flight) for it until the TTL lapses. Waiters on
 // an in-flight translation receive the error like any backend failure.
-func (sh *storeShard) runBackend(key xlate.Key, req *xlate.Request) (t *xlate.Translation, err error) {
+func (s *SharedStore) runBackend(key xlate.Key, req *xlate.Request) (t *xlate.Translation, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			sh.mu.Lock()
-			sh.poisonLocked(key, DefaultPoisonTTL)
-			sh.mu.Unlock()
+			s.Poison(key, DefaultPoisonTTL)
 			t, err = nil, fmt.Errorf("tcache: translation backend panicked for key %s: %v", key, r)
 		}
 	}()
@@ -283,13 +225,11 @@ func (sh *storeShard) runBackend(key xlate.Key, req *xlate.Request) (t *xlate.Tr
 // fraction of a restore is observable. Determinism is unaffected either way
 // — a hit hands back the byte-identical artifact a miss would rebuild.
 func (s *SharedStore) Rehydrate(req *xlate.Request) (t *xlate.Translation, hit bool, err error) {
-	key := req.Key()
 	t, hit, err = s.Translate(req)
-	sh := s.shard(key)
 	if hit {
-		sh.rehydrateHits.Add(1)
+		s.rehydrateHits.Add(1)
 	} else {
-		sh.rehydrateMisses.Add(1)
+		s.rehydrateMisses.Add(1)
 	}
 	return t, hit, err
 }
@@ -299,15 +239,12 @@ func (s *SharedStore) Rehydrate(req *xlate.Request) (t *xlate.Translation, hit b
 // its store (translate-or-fetch each key's region before the VM arrives);
 // sorted order makes the transfer deterministic.
 func (s *SharedStore) Keys() []xlate.Key {
-	var keys []xlate.Key
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for k := range sh.entries {
-			keys = append(keys, k)
-		}
-		sh.mu.Unlock()
+	s.mu.Lock()
+	keys := make([]xlate.Key, 0, len(s.entries))
+	for k := range s.entries {
+		keys = append(keys, k)
 	}
+	s.mu.Unlock()
 	sort.Slice(keys, func(i, j int) bool {
 		return bytes.Compare(keys[i][:], keys[j][:]) < 0
 	})
@@ -320,94 +257,69 @@ func (s *SharedStore) Keys() []xlate.Key {
 // misses because of it re-translates and charges the same simulated cost —
 // so callers may quarantine aggressively without perturbing Metrics.
 func (s *SharedStore) Poison(key xlate.Key, ttl time.Duration) {
-	sh := s.shard(key)
-	sh.mu.Lock()
-	sh.poisonLocked(key, ttl)
-	sh.mu.Unlock()
-}
-
-// poisonLocked is Poison with sh.mu held.
-func (sh *storeShard) poisonLocked(key xlate.Key, ttl time.Duration) {
 	if ttl <= 0 {
 		ttl = DefaultPoisonTTL
 	}
-	if e := sh.entries[key]; e != nil {
-		sh.lru.Remove(e.elem)
-		delete(sh.entries, key)
-		sh.curAtoms -= e.atoms
-		sh.evictions.Add(1)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e := s.entries[key]; e != nil {
+		s.remove(e)
 	}
-	sh.poison[key] = time.Now().Add(ttl)
-	sh.poisons.Add(1)
+	s.poison[key] = time.Now().Add(ttl)
+	s.poisons.Add(1)
 }
 
-// PoisonedKeys reports how many keys are currently quarantined, reaping
-// expired entries as it counts.
-func (s *SharedStore) PoisonedKeys() int {
-	now := time.Now()
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for k, until := range sh.poison {
-			if now.Before(until) {
-				n++
-			} else {
-				delete(sh.poison, k)
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// insert stores an artifact under key, evicting this shard's LRU entries to
-// fit its sub-budget. Called with sh.mu held. The newly inserted entry is
-// always kept, even if it alone exceeds the shard budget — the budget
-// bounds steady-state residency, not a single artifact.
-func (sh *storeShard) insert(key xlate.Key, t *xlate.Translation) {
-	if sh.entries[key] != nil {
+// insert stores an artifact under key, evicting LRU entries to fit the
+// budget. Called with s.mu held. The newly inserted entry is always kept,
+// even if it alone exceeds the budget — the budget bounds steady-state
+// residency, not a single artifact.
+func (s *SharedStore) insert(key xlate.Key, t *xlate.Translation) {
+	if s.entries[key] != nil {
 		return // a concurrent producer won the race; keep its artifact
 	}
 	atoms := t.CodeAtoms()
-	for sh.curAtoms+atoms > sh.capAtoms && sh.lru.Len() > 0 {
-		victim := sh.lru.Back().Value.(*sharedEntry)
-		sh.lru.Remove(victim.elem)
-		delete(sh.entries, victim.key)
-		sh.curAtoms -= victim.atoms
-		sh.evictions.Add(1)
+	for s.curAtoms+atoms > s.capAtoms && s.lru.Len() > 0 {
+		s.remove(s.lru.Back().Value.(*sharedEntry))
 	}
 	e := &sharedEntry{key: key, t: t, atoms: atoms}
-	e.elem = sh.lru.PushFront(e)
-	sh.entries[key] = e
-	sh.curAtoms += atoms
+	e.elem = s.lru.PushFront(e)
+	s.entries[key] = e
+	s.curAtoms += atoms
 }
 
-// Stats aggregates every shard's counters and residency into one snapshot.
+// remove drops a resident entry and counts the eviction. Called with s.mu
+// held.
+func (s *SharedStore) remove(e *sharedEntry) {
+	s.lru.Remove(e.elem)
+	delete(s.entries, e.key)
+	s.curAtoms -= e.atoms
+	s.evictions.Add(1)
+}
+
+// Stats returns the store's counters and residency, reaping expired
+// poison deadlines as it counts the live ones.
 func (s *SharedStore) Stats() SharedStats {
-	st := SharedStats{Shards: len(s.shards)}
+	st := SharedStats{
+		Hits:            s.hits.Load(),
+		Waits:           s.waits.Load(),
+		Misses:          s.misses.Load(),
+		Evictions:       s.evictions.Load(),
+		Poisons:         s.poisons.Load(),
+		PoisonHits:      s.poisonHits.Load(),
+		RehydrateHits:   s.rehydrateHits.Load(),
+		RehydrateMisses: s.rehydrateMisses.Load(),
+	}
 	now := time.Now()
-	for i := range s.shards {
-		sh := &s.shards[i]
-		st.Hits += sh.hits.Load()
-		st.Waits += sh.waits.Load()
-		st.Misses += sh.misses.Load()
-		st.Evictions += sh.evictions.Load()
-		st.Poisons += sh.poisons.Load()
-		st.PoisonHits += sh.poisonHits.Load()
-		st.RehydrateHits += sh.rehydrateHits.Load()
-		st.RehydrateMisses += sh.rehydrateMisses.Load()
-		sh.mu.Lock()
-		st.Entries += len(sh.entries)
-		st.Atoms += sh.curAtoms
-		for k, until := range sh.poison {
-			if now.Before(until) {
-				st.Poisoned++
-			} else {
-				delete(sh.poison, k)
-			}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st.Entries = len(s.entries)
+	st.Atoms = s.curAtoms
+	for k, until := range s.poison {
+		if now.Before(until) {
+			st.Poisoned++
+		} else {
+			delete(s.poison, k)
 		}
-		sh.mu.Unlock()
 	}
 	return st
 }

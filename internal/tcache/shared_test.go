@@ -1,6 +1,7 @@
 package tcache
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,7 +15,7 @@ import (
 
 // sharedReq freezes a translation request for a small hot loop, with a
 // distinguishing immediate so different programs hash differently.
-func sharedReq(t *testing.T, imm int) *xlate.Request {
+func sharedReq(t testing.TB, imm int) *xlate.Request {
 	t.Helper()
 	prog, err := asm.Assemble(`
 .org 0x1000
@@ -122,9 +123,7 @@ func TestSharedStoreEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Budget for roughly two artifacts: inserting a third evicts the LRU.
-	// One shard pins the whole budget to one LRU list so the eviction order
-	// is exact; multi-shard budget behavior is TestSharedStoreTorture's job.
-	s := NewSharedShards(2*first.CodeAtoms()+first.CodeAtoms()/2, 1)
+	s := NewShared(2*first.CodeAtoms() + first.CodeAtoms()/2)
 	for imm := 1; imm <= 3; imm++ {
 		if _, _, err := s.Translate(sharedReq(t, imm)); err != nil {
 			t.Fatal(err)
@@ -143,31 +142,67 @@ func TestSharedStoreEviction(t *testing.T) {
 	}
 }
 
-// TestSharedStoreShardSizing checks the shard array is a power of two and
-// that keys spread across it by prefix.
-func TestSharedStoreShardSizing(t *testing.T) {
-	for req, want := range map[int]int{0: 0, 1: 1, 2: 2, 3: 4, 5: 8, 8: 8, 1 << 20: maxShards} {
-		s := NewSharedShards(0, req)
-		n := s.NumShards()
-		if want != 0 && n != want {
-			t.Errorf("shards(%d) = %d, want %d", req, n, want)
+// TestSharedStoreBudgetIsGlobal checks the atom budget is one exact budget
+// over the whole store, whatever the host's CPU count: N equal-size
+// artifacts fit a budget of exactly N, and the (N+1)th evicts exactly the
+// least recently used one.
+func TestSharedStoreBudgetIsGlobal(t *testing.T) {
+	const n = 8
+	reqs := make([]*xlate.Request, n+1)
+	for i := range reqs {
+		reqs[i] = sharedReq(t, i+1)
+	}
+	probe, _, err := NewShared(0).Translate(reqs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	atoms := probe.CodeAtoms()
+
+	// A wide host must not split the budget.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	s := NewShared(n * atoms)
+	for i, r := range reqs[:n] {
+		tl, _, err := s.Translate(r)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if n&(n-1) != 0 || n < 1 {
-			t.Errorf("shards(%d) = %d, not a power of two", req, n)
+		if tl.CodeAtoms() != atoms {
+			t.Fatalf("artifact %d has %d atoms, want %d: the test needs equal sizes", i, tl.CodeAtoms(), atoms)
 		}
 	}
-	if n := NewShared(0).NumShards(); n < 1 {
-		t.Errorf("default store has %d shards", n)
+	if st := s.Stats(); st.Entries != n || st.Evictions != 0 || st.Atoms != n*atoms {
+		t.Fatalf("budget of %d artifacts holds %d (%d atoms, %d evictions), want all %d",
+			n, st.Entries, st.Atoms, st.Evictions, n)
+	}
+	// Touch the oldest so the second-oldest becomes the LRU entry.
+	if _, hit, _ := s.Translate(reqs[0]); !hit {
+		t.Fatal("resident artifact missed")
+	}
+	if _, _, err := s.Translate(reqs[n]); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Entries != n || st.Evictions != 1 {
+		t.Fatalf("after one more artifact: %d entries, %d evictions; want %d and 1", st.Entries, st.Evictions, n)
+	}
+	want := map[xlate.Key]bool{}
+	for i, r := range reqs {
+		if i != 1 {
+			want[r.Key()] = true
+		}
+	}
+	for _, k := range s.Keys() {
+		if !want[k] {
+			t.Errorf("resident key %s is the LRU artifact or unknown", k)
+		}
 	}
 }
 
-// TestSharedStoreTorture is the sharded store's concurrency contract, meant
-// to run under -race: many goroutines hammer Get/insert/evict over an
-// overlapping key set spread across a wide shard array with a budget tight
-// enough to force constant eviction, while other goroutines read Stats().
-// Afterwards it asserts single-flight dedup (on a second, unbounded store),
-// the per-shard atom-budget invariant, and that the stats counters sum
-// exactly to the number of requests issued.
+// TestSharedStoreTorture is the store's concurrency contract, meant to run
+// under -race: many goroutines hammer Get/insert/evict over an overlapping
+// key set with a budget tight enough to force constant eviction, while other
+// goroutines read Stats(). Afterwards it asserts single-flight dedup (on a
+// second, unbounded store), the atom-budget and bookkeeping invariants, and
+// that the stats counters sum exactly to the number of requests issued.
 func TestSharedStoreTorture(t *testing.T) {
 	const (
 		keys    = 24
@@ -196,9 +231,9 @@ func TestSharedStoreTorture(t *testing.T) {
 		}
 	}
 
-	// Tight store: 16 shards over a budget of ~6 artifacts total, so most
-	// shards cannot hold even two entries and eviction churns continuously.
-	s := NewSharedShards(6*maxAtoms, 16)
+	// Tight store: a budget of ~6 artifacts over 24 keys, so eviction
+	// churns continuously.
+	s := NewShared(6 * maxAtoms)
 	var total atomic.Uint64
 	var wg, readers sync.WaitGroup
 	stop := make(chan struct{})
@@ -244,34 +279,30 @@ func TestSharedStoreTorture(t *testing.T) {
 	if st.Evictions == 0 {
 		t.Error("tight budget never evicted")
 	}
-	// Per-shard invariants: accounted atoms match resident entries, and no
-	// shard exceeds its sub-budget unless a single oversized entry forces it.
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sum := 0
-		for _, e := range sh.entries {
-			sum += e.atoms
-		}
-		if sum != sh.curAtoms {
-			t.Errorf("shard %d: accounted %d atoms, entries hold %d", i, sh.curAtoms, sum)
-		}
-		if sh.curAtoms > sh.capAtoms && len(sh.entries) > 1 {
-			t.Errorf("shard %d: %d atoms over budget %d with %d entries",
-				i, sh.curAtoms, sh.capAtoms, len(sh.entries))
-		}
-		if sh.lru.Len() != len(sh.entries) {
-			t.Errorf("shard %d: lru %d vs entries %d", i, sh.lru.Len(), len(sh.entries))
-		}
-		if len(sh.inflight) != 0 {
-			t.Errorf("shard %d: %d flights leaked", i, len(sh.inflight))
-		}
-		sh.mu.Unlock()
+	// Accounted atoms match resident entries, and the store exceeds its
+	// budget only when a single oversized entry forces it.
+	s.mu.Lock()
+	sum := 0
+	for _, e := range s.entries {
+		sum += e.atoms
 	}
+	if sum != s.curAtoms {
+		t.Errorf("accounted %d atoms, entries hold %d", s.curAtoms, sum)
+	}
+	if s.curAtoms > s.capAtoms && len(s.entries) > 1 {
+		t.Errorf("%d atoms over budget %d with %d entries", s.curAtoms, s.capAtoms, len(s.entries))
+	}
+	if s.lru.Len() != len(s.entries) {
+		t.Errorf("lru %d vs entries %d", s.lru.Len(), len(s.entries))
+	}
+	if len(s.inflight) != 0 {
+		t.Errorf("%d flights leaked", len(s.inflight))
+	}
+	s.mu.Unlock()
 
 	// Unbounded store, same concurrent access pattern: single-flight means
 	// the backend runs at most once per distinct key.
-	big := NewSharedShards(0, 16)
+	big := NewShared(0)
 	var total2 atomic.Uint64
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -313,7 +344,7 @@ func TestSharedStoreDedupRatio(t *testing.T) {
 // single-flight), every bypass is counted, and the key rejoins normal
 // sharing once the TTL lapses.
 func TestSharedStorePoisonTTL(t *testing.T) {
-	s := NewSharedShards(0, 4)
+	s := NewShared(0)
 	req := sharedReq(t, 5)
 	key := req.Key()
 	if _, hit, err := s.Translate(req); err != nil || hit {
@@ -332,7 +363,7 @@ func TestSharedStorePoisonTTL(t *testing.T) {
 	}
 
 	deadline := time.Now().Add(5 * time.Second)
-	for s.PoisonedKeys() != 0 {
+	for s.Stats().Poisoned != 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("poison TTL never expired")
 		}
@@ -351,7 +382,7 @@ func TestSharedStorePoisonTTL(t *testing.T) {
 // key under -race: no matter the interleaving, every Translate returns a
 // valid artifact or a clean private translation, and counters stay coherent.
 func TestSharedStorePoisonConcurrent(t *testing.T) {
-	s := NewSharedShards(0, 4)
+	s := NewShared(0)
 	req := sharedReq(t, 9)
 	key := req.Key()
 	var wg sync.WaitGroup
@@ -381,5 +412,42 @@ func TestSharedStorePoisonConcurrent(t *testing.T) {
 	st := s.Stats()
 	if st.Poisons != 20 {
 		t.Errorf("poisons = %d, want 20", st.Poisons)
+	}
+}
+
+// BenchmarkSharedStoreParallel times the store under b.RunParallel, so the
+// one-lock design can be re-measured at any width with -cpu 1,2,4,8. "hit"
+// cycles over 64 warm keys; "miss" cycles over the same keys through a
+// one-atom budget, so nearly every request evicts and runs the backend.
+func BenchmarkSharedStoreParallel(b *testing.B) {
+	const keys = 64
+	reqs := make([]*xlate.Request, keys)
+	for i := range reqs {
+		reqs[i] = sharedReq(b, i+1)
+	}
+	for _, bc := range []struct {
+		name     string
+		capAtoms int
+	}{{"hit", 0}, {"miss", 1}} {
+		b.Run(bc.name, func(b *testing.B) {
+			s := NewShared(bc.capAtoms)
+			for _, r := range reqs {
+				if _, _, err := s.Translate(r); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var next atomic.Uint64
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				i := next.Add(1) * 7
+				for pb.Next() {
+					if _, _, err := s.Translate(reqs[i%keys]); err != nil {
+						b.Error(err)
+						return
+					}
+					i++
+				}
+			})
+		})
 	}
 }

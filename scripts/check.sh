@@ -24,7 +24,7 @@ go test -race ./...
 # step arrays and through the risc register IR — plus its mutation test),
 # internal/bench importing no clock, the farm differentials
 # (solo and in-farm runs byte-identical over the shared store, including
-# mixed vliw/risc farms), the sharded-store torture test, the
+# mixed vliw/risc farms), the shared-store torture test, the
 # fault-containment chaos capstone, and the translator's three (below). Running them again by
 # name bought nothing; what the by-name lines guarded against is a contract
 # being renamed away or dropped, and a -list check catches that without
@@ -42,7 +42,7 @@ require_tests() {
 }
 require_tests ./internal/farm/ TestFarmDifferential TestFarmMixedBackendDifferential \
 	TestChaosServing TestRecycledVMDifferential TestRecycledVMCanary
-require_tests ./internal/tcache/ TestSharedStoreTorture
+require_tests ./internal/tcache/ TestSharedStoreTorture TestSharedStoreBudgetIsGlobal
 require_tests ./internal/bench/ TestBackendDifferential \
 	TestBackendDifferentialCatchesWrongCarry TestBenchIsClockFree
 # The translator's working memory is pooled across goroutines. What licenses
