@@ -16,7 +16,7 @@ import (
 )
 
 // build assembles a program onto a fresh platform and returns an engine.
-func build(t *testing.T, src string, cfg Config, disk []byte) *Engine {
+func build(t testing.TB, src string, cfg Config, disk []byte) *Engine {
 	t.Helper()
 	p, err := asm.Assemble(src)
 	if err != nil {
@@ -269,7 +269,9 @@ tick:
 	iret
 `
 	e := build(t, src, DefaultConfig(), nil)
+	e.Trace = NewTrace(1 << 10)
 	runToHalt(t, e, 10_000_000)
+	checkIRQTrace(t, e)
 	if e.CPU().Regs[guest.ECX] != 5 {
 		t.Fatalf("handler ran %d times, want 5", e.CPU().Regs[guest.ECX])
 	}
@@ -907,5 +909,49 @@ loop:
 	}
 	if total > 200 {
 		t.Errorf("MMIO faults never adapted away: %d", total)
+	}
+}
+
+// TestDispatchLedgerBalances checks the dispatcher's books over programs
+// with no faults, SMC or interrupts, where translated execution ends only
+// at an exit with no successor or at the instruction budget. Every episode
+// the dispatcher starts returns to it exactly once, and the dispatch
+// molecules are exactly the charges of the lookups, the inline-cache hits
+// and the no-successor returns. The sliced run stops on the budget over and
+// over, mostly inside chained execution.
+func TestDispatchLedgerBalances(t *testing.T) {
+	for _, chain := range []bool{true, false} {
+		cfg := DefaultConfig()
+		cfg.EnableChaining = chain
+		whole := build(t, jumpTableProg, cfg, nil)
+		runToHalt(t, whole, 10_000_000)
+		m := &whole.Metrics
+		if m.DispatchToTexec == 0 || m.DispatchReturns != m.DispatchToTexec {
+			t.Errorf("chaining=%v: %d dispatches into translated code, %d returns",
+				chain, m.DispatchToTexec, m.DispatchReturns)
+		}
+		c := &whole.Cfg // normalized
+		want := c.LookupCost*(m.LookupTransfers+m.DispatchReturns) + c.IndTCHitCost*m.IndirectHits
+		if m.MolsDispatch != want {
+			t.Errorf("chaining=%v: MolsDispatch = %d, want %d", chain, m.MolsDispatch, want)
+		}
+
+		sliced := build(t, jumpTableProg, cfg, nil)
+		stops := 0
+		for budget := uint64(997); ; budget += 997 {
+			err := sliced.Run(budget)
+			if err == nil {
+				break
+			}
+			if err != ErrBudget {
+				t.Fatal(err)
+			}
+			stops++
+		}
+		s := &sliced.Metrics
+		if stops < 10 || s.DispatchReturns != s.DispatchToTexec {
+			t.Errorf("chaining=%v, %d budget stops: %d dispatches into translated code, %d returns",
+				chain, stops, s.DispatchToTexec, s.DispatchReturns)
+		}
 	}
 }

@@ -132,15 +132,14 @@ func (e *Engine) Run(maxGuest uint64) error {
 	if e.Cfg.Cancel != nil {
 		e.nextCancel = e.Metrics.GuestTotal() + e.Cfg.CancelQuantum
 	}
+	if rp := e.resumePt; rp.valid && e.err == nil && e.Metrics.GuestTotal() < maxGuest {
+		// A restored snapshot parked the run mid-chain: replay the pending
+		// transition before the dispatcher touches anything. A cancelled run
+		// holds one too, but its sticky ErrCancelled keeps it parked.
+		e.resumePt = resumePoint{}
+		e.resumeTranslated(rp)
+	}
 	for e.Metrics.GuestTotal() < maxGuest {
-		if e.resumePt.valid && e.err == nil {
-			// A restored snapshot parked the run mid-chain: replay the
-			// pending transition before the dispatcher touches anything.
-			rp := e.resumePt
-			e.resumePt = resumePoint{}
-			e.resumeTranslated(rp)
-			continue
-		}
 		if e.err != nil {
 			return e.err
 		}
@@ -163,7 +162,7 @@ func (e *Engine) Run(maxGuest uint64) error {
 				continue
 			}
 		}
-		e.stepInterp()
+		e.step()
 	}
 	if e.err != nil {
 		return e.err
@@ -187,8 +186,11 @@ func (e *Engine) pollCancel() bool {
 	return false
 }
 
-// stepInterp interprets one instruction boundary, resolving protection hits.
-func (e *Engine) stepInterp() {
+// step interprets one instruction boundary: the engine's one call of
+// Interp.Step, with every charge around it. A protection hit is resolved
+// here (the instruction or delivery re-executes on the next step), so no
+// caller can leave one pending.
+func (e *Engine) step() interp.Result {
 	res := e.Interp.Step()
 	e.Metrics.MolsInterp += res.Cost
 	switch res.Stop {
@@ -202,7 +204,9 @@ func (e *Engine) stepInterp() {
 	}
 	if res.IRQ {
 		e.Metrics.Interrupts++
+		e.trace(EvIRQ, e.Interp.CPU.EIP, "")
 	}
+	return res
 }
 
 // hot reports whether the profiler says eip deserves translation.
@@ -361,10 +365,9 @@ func (e *Engine) runTranslated(ent *tcache.Entry) {
 }
 
 // resumeTranslated replays the transition a chain-boundary cancellation left
-// pending and, if a successor resolves, continues the chain from it. The
-// charges here mirror texecLoop's transition and dispatcher-return paths
-// exactly — that equivalence is what makes a restored run's Metrics
-// bit-identical to an uninterrupted one.
+// pending and, if a successor resolves, continues the chain from it. It takes
+// the exit through texecLoop's own exit-taking step, so a restored run's
+// Metrics stay bit-identical to an uninterrupted one.
 func (e *Engine) resumeTranslated(rp resumePoint) {
 	cur := rp.ent
 	if cur == nil {
@@ -377,25 +380,17 @@ func (e *Engine) resumeTranslated(rp resumePoint) {
 		return
 	}
 	cpu := &e.Interp.CPU
-	e.Machine.LoadGuest(&cpu.Regs, cpu.Flags, cpu.EIP)
+	e.Machine.LoadGuest(&cpu.Regs, cpu.Flags, rp.target)
 	e.curEnt = cur
-	next := e.transition(cur, rp.exit, rp.indirect, rp.target)
-	if next == nil {
-		e.Machine.StoreGuest(&cpu.Regs, &cpu.Flags)
-		cpu.EIP = rp.target
-		e.Metrics.DispatchReturns++
-		e.Metrics.MolsDispatch += e.Cfg.LookupCost
-		e.Interp.Prof.Heads[rp.target]++
-		return
+	if next := e.takeExit(cur, rp.exit, rp.indirect); next != nil {
+		e.texecLoop(next)
 	}
-	e.Machine.CommittedEIP = rp.target
-	e.texecLoop(next)
 }
 
 // texecLoop is the chained-execution loop: the machine already holds the
-// guest state, and cur is the translation to enter next.
+// guest state, and cur is the translation to enter next. Every way out goes
+// through surface.
 func (e *Engine) texecLoop(cur *tcache.Entry) {
-	cpu := &e.Interp.CPU
 	for {
 		// Remember the translation being entered: if a host bug panics out
 		// of the compiled closure below, the recovering supervisor reads
@@ -405,28 +400,15 @@ func (e *Engine) texecLoop(cur *tcache.Entry) {
 			return
 		}
 		if cur.Armed {
-			switch e.runPrologue(cur) {
-			case prologueErr, prologueIRQ:
-				// Error recorded, or an interrupt was delivered; back to
-				// the dispatcher either way.
+			why, pass := e.runPrologue(cur)
+			if !pass {
+				e.surface(cur, why, nil)
 				return
-			case prologueFail:
-				// Source changed under the prologue: handle SMC and bail to
-				// the dispatcher; no guest state was touched. Continue at
-				// the committed boundary (this translation's entry — the
-				// dispatch EIP only for the first link of a chain).
-				e.Machine.StoreGuest(&cpu.Regs, &cpu.Flags)
-				cpu.EIP = e.Machine.CommittedEIP
-				e.Metrics.SelfRevalFails++
-				e.trace(EvRevalFail, cur.T.Entry, "")
-				e.handleSourceChanged(cur)
-				return
-			case prologuePass:
-				e.Metrics.SelfRevalPasses++
-				e.trace(EvRevalPass, cur.T.Entry, "")
-				e.reprotect(cur.T)
-				cur.Armed = false
 			}
+			e.Metrics.SelfRevalPasses++
+			e.trace(EvRevalPass, cur.T.Entry, "")
+			e.reprotect(cur.T)
+			cur.Armed = false
 		}
 
 		mols0 := e.Machine.Mols
@@ -449,12 +431,7 @@ func (e *Engine) texecLoop(cur *tcache.Entry) {
 		cur.Execs++
 
 		if out.Fault != vliw.FNone {
-			e.Metrics.Faults[out.Fault]++
-			cur.FaultCounts[out.Fault]++
-			e.Machine.StoreGuest(&cpu.Regs, &cpu.Flags)
-			cpu.EIP = e.Machine.CommittedEIP
-			e.traceFault(EvFault, out.Addr, out.Fault)
-			e.handleFault(cur, *out)
+			e.surface(cur, exitFault, out)
 			return
 		}
 
@@ -463,17 +440,17 @@ func (e *Engine) texecLoop(cur *tcache.Entry) {
 		e.Plat.Timer.Advance(uint64(ex.Insns))
 
 		if ex.Kind == ir.ExitSelfCheckFail {
-			e.Machine.StoreGuest(&cpu.Regs, &cpu.Flags)
-			cpu.EIP = e.Machine.CommittedEIP
-			e.Metrics.SelfCheckFails++
-			e.trace(EvSelfCheckFail, cur.T.Entry, "")
-			e.handleSourceChanged(cur)
+			e.surface(cur, exitSelfCheck, nil)
 			return
 		}
 
-		target := ex.Target
+		// The exit committed at its target's boundary: every way on from
+		// here — the next translation faulting, the dispatcher — resumes
+		// there, not at the chain's first entry.
 		if out.Indirect {
-			target = out.IndTarget
+			e.Machine.CommittedEIP = out.IndTarget
+		} else {
+			e.Machine.CommittedEIP = ex.Target
 		}
 
 		// Chained loops can run entirely inside the cache; surface to the
@@ -484,54 +461,27 @@ func (e *Engine) texecLoop(cur *tcache.Entry) {
 		// hook is armed).
 		if gt := e.Metrics.GuestTotal(); gt >= e.budget || gt >= e.nextCancel {
 			if gt >= e.budget {
-				e.Machine.StoreGuest(&cpu.Regs, &cpu.Flags)
-				cpu.EIP = target
-				e.Metrics.DispatchReturns++
+				e.surface(cur, exitBudget, out)
 				return
 			}
 			if e.pollCancel() {
-				// The exit is taken but its transition not yet performed.
-				// Park the transition so a snapshot restored here can replay
-				// it with the exact charges the uninterrupted run would have
-				// made (see resumeTranslated).
-				e.Machine.StoreGuest(&cpu.Regs, &cpu.Flags)
-				cpu.EIP = target
-				e.resumePt = resumePoint{
-					valid:    true,
-					ent:      cur,
-					entry:    cur.T.Entry,
-					exit:     out.Exit,
-					indirect: out.Indirect,
-					target:   target,
-				}
+				e.surface(cur, exitCancel, out)
 				return
 			}
 		}
 
-		next := e.transition(cur, out.Exit, out.Indirect, target)
-		if next == nil {
-			e.Machine.StoreGuest(&cpu.Regs, &cpu.Flags)
-			cpu.EIP = target
-			e.Metrics.DispatchReturns++
-			e.Metrics.MolsDispatch += e.Cfg.LookupCost
-			// The dispatcher is a profiling point too: targets that keep
-			// arriving from translated code (typically via indirect exits)
-			// must still cross the translation threshold.
-			e.Interp.Prof.Heads[target]++
+		if cur = e.takeExit(cur, out.Exit, out.Indirect); cur == nil {
 			return
 		}
-		// The exit committed at target's boundary: recovery from a fault in
-		// the next translation must re-interpret from there, not from the
-		// chain's first entry.
-		e.Machine.CommittedEIP = target
-		cur = next
 	}
 }
 
-// transition resolves the successor translation for one taken exit, charging
-// the chaining and lookup costs. A nil result means the chain surfaces to
-// the dispatcher.
-func (e *Engine) transition(cur *tcache.Entry, exit int, indirect bool, target uint32) *tcache.Entry {
+// takeExit is the exit-taking step shared by texecLoop and
+// resumeTranslated: it resolves the successor translation for an exit
+// committed at the machine's CommittedEIP, charging the chaining and lookup
+// costs. With no successor it surfaces to the dispatcher and returns nil.
+func (e *Engine) takeExit(cur *tcache.Entry, exit int, indirect bool) *tcache.Entry {
+	target := e.Machine.CommittedEIP
 	var next *tcache.Entry
 	switch {
 	case indirect && e.Cfg.EnableChaining:
@@ -566,50 +516,111 @@ func (e *Engine) transition(cur *tcache.Entry, exit int, indirect bool, target u
 			e.Metrics.MolsDispatch += e.Cfg.LookupCost
 		}
 	}
+	if next == nil {
+		e.surface(cur, exitNoSuccessor, nil)
+	}
 	return next
 }
 
-// injectAt consults the configured fault injector at a commit boundary and,
-// when an action fires, routes it through the engine's real recovery paths.
-// It reports whether control must return to the dispatcher. The machine holds
-// the committed state (nothing speculative is in flight at a boundary), so
-// storing it back is always safe.
-func (e *Engine) injectAt(cur *tcache.Entry) bool {
+// exitReason names one way a translated-execution episode ends.
+type exitReason uint8
+
+const (
+	exitFault       exitReason = iota // rolled back after a fault, real or injected
+	exitSelfCheck                     // the region's self-check saw its source change
+	exitRevalFail                     // an armed entry's prologue saw its source change
+	exitPrologueIRQ                   // an interrupt is pending at an armed entry
+	exitPrologueErr                   // the prologue could not run; e.err is set
+	exitBudget                        // the instruction budget ran out at a taken exit
+	exitCancel                        // the cancel hook fired at a taken exit
+	exitNoSuccessor                   // a taken exit has no translation to chain to
+	exitEvict                         // an injected eviction of cur
+	exitPanic                         // an injected host panic
+)
+
+// surface ends a translated-execution episode: the one place guest state
+// leaves the machine. The machine holds committed state — rolled back after
+// a fault, or at a boundary — so the guest resumes at CommittedEIP: cur's
+// entry (or the last taken exit's target, mid-chain) for the rollback,
+// prologue and injected reasons, and the taken exit's target for budget,
+// cancel and no-successor. The reason's charges and recovery follow. out is
+// the outcome of cur's execution, nil where the reason has none.
+func (e *Engine) surface(cur *tcache.Entry, why exitReason, out *vliw.Outcome) {
 	cpu := &e.Interp.CPU
-	switch e.Cfg.Injector.TexecBoundary(cur.T.Entry, e.Metrics.GuestTotal()) {
-	case InjectRollback:
-		e.Machine.StoreGuest(&cpu.Regs, &cpu.Flags)
-		cpu.EIP = e.Machine.CommittedEIP
-		e.Metrics.Faults[vliw.FIRQ]++
-		cur.FaultCounts[vliw.FIRQ]++
-		e.traceFault(EvFault, cur.T.Entry, vliw.FIRQ)
-		e.handleFault(cur, vliw.Outcome{Fault: vliw.FIRQ, Exit: -1, GIdx: -1})
-		return true
-	case InjectAliasFault:
-		e.Machine.StoreGuest(&cpu.Regs, &cpu.Flags)
-		cpu.EIP = e.Machine.CommittedEIP
-		e.Metrics.Faults[vliw.FAlias]++
-		cur.FaultCounts[vliw.FAlias]++
-		e.traceFault(EvFault, cur.T.Entry, vliw.FAlias)
-		e.handleFault(cur, vliw.Outcome{Fault: vliw.FAlias, Exit: -1, GIdx: 0})
-		return true
-	case InjectEvict:
-		e.Machine.StoreGuest(&cpu.Regs, &cpu.Flags)
-		cpu.EIP = e.Machine.CommittedEIP
+	e.Machine.StoreGuest(&cpu.Regs, &cpu.Flags)
+	cpu.EIP = e.Machine.CommittedEIP
+	switch why {
+	case exitFault:
+		e.Metrics.Faults[out.Fault]++
+		cur.FaultCounts[out.Fault]++
+		e.traceFault(EvFault, out.Addr, out.Fault)
+		e.handleFault(cur, *out)
+	case exitSelfCheck:
+		e.Metrics.SelfCheckFails++
+		e.trace(EvSelfCheckFail, cur.T.Entry, "")
+		e.handleSourceChanged(cur)
+	case exitRevalFail:
+		e.Metrics.SelfRevalFails++
+		e.trace(EvRevalFail, cur.T.Entry, "")
+		e.handleSourceChanged(cur)
+	case exitPrologueIRQ:
+		// Deliver at the committed boundary; the dispatcher comes back and
+		// re-runs the prologue afterwards.
+		e.step()
+	case exitBudget:
+		e.Metrics.DispatchReturns++
+	case exitCancel:
+		// The exit is taken but its transition not yet performed. Park the
+		// transition so a snapshot restored here can replay it with the
+		// exact charges the uninterrupted run would have made (see
+		// resumeTranslated).
+		e.resumePt = resumePoint{
+			valid:    true,
+			ent:      cur,
+			entry:    cur.T.Entry,
+			exit:     out.Exit,
+			indirect: out.Indirect,
+			target:   cpu.EIP,
+		}
+	case exitNoSuccessor:
+		e.Metrics.DispatchReturns++
+		e.Metrics.MolsDispatch += e.Cfg.LookupCost
+		// The dispatcher is a profiling point too: targets that keep
+		// arriving from translated code (typically via indirect exits)
+		// must still cross the translation threshold.
+		e.Interp.Prof.Heads[cpu.EIP]++
+	case exitEvict:
 		e.trace(EvInvalidate, cur.T.Entry, "injected eviction")
 		e.Cache.Invalidate(cur)
 		e.reconcileProtection(cur)
-		return true
-	case InjectPanic:
-		// Commit the boundary state first so a recovering supervisor sees a
-		// consistent CPU, then blow up the way a buggy host closure would.
-		// The panic value is a pure function of this boundary, so replays
-		// reproduce it verbatim.
-		e.Machine.StoreGuest(&cpu.Regs, &cpu.Flags)
-		cpu.EIP = e.Machine.CommittedEIP
+	case exitPanic:
+		// The boundary state is committed first so a recovering supervisor
+		// sees a consistent CPU; then blow up the way a buggy host closure
+		// would. The panic value is a pure function of this boundary, so
+		// replays reproduce it verbatim.
 		panic(&InjectedPanic{Entry: cur.T.Entry, Retired: e.Metrics.GuestTotal()})
 	}
-	return false
+}
+
+// injectAt consults the configured fault injector at a commit boundary and,
+// when an action fires, surfaces with it: injected events ride the engine's
+// real recovery paths. It reports whether control returned to the
+// dispatcher. Nothing speculative is in flight at a boundary, so the
+// machine holds exactly the committed state.
+func (e *Engine) injectAt(cur *tcache.Entry) bool {
+	switch e.Cfg.Injector.TexecBoundary(cur.T.Entry, e.Metrics.GuestTotal()) {
+	case InjectRollback:
+		e.surface(cur, exitFault, &vliw.Outcome{Fault: vliw.FIRQ, Exit: -1, GIdx: -1, Addr: cur.T.Entry})
+	case InjectAliasFault:
+		e.surface(cur, exitFault, &vliw.Outcome{Fault: vliw.FAlias, Exit: -1, GIdx: 0, Addr: cur.T.Entry})
+	case InjectEvict:
+		e.surface(cur, exitEvict, nil)
+	case InjectPanic:
+		e.surface(cur, exitPanic, nil)
+	default:
+		return false
+	}
+	return true
 }
 
 // ImplicatedKey names the shared-store artifact to quarantine after a host
@@ -626,42 +637,31 @@ func (e *Engine) ImplicatedKey() (key xlate.Key, ok bool) {
 	return e.curEnt.T.SharedKey, true
 }
 
-// prologueOutcome is the result of running a self-revalidation prologue.
-type prologueOutcome uint8
-
-const (
-	prologuePass prologueOutcome = iota
-	prologueFail
-	prologueIRQ
-	prologueErr
-)
-
-// runPrologue executes a self-revalidation prologue (§3.6.2).
-func (e *Engine) runPrologue(ent *tcache.Entry) prologueOutcome {
-	code, pass, fail, err := ent.T.Prologue()
+// runPrologue executes a self-revalidation prologue (§3.6.2). pass reports
+// that the source is unchanged; otherwise why says how the entry surfaces.
+func (e *Engine) runPrologue(ent *tcache.Entry) (why exitReason, pass bool) {
+	code, passExit, failExit, err := ent.T.Prologue()
 	if err != nil {
 		e.err = err
-		return prologueErr
+		return exitPrologueErr, false
 	}
 	mols0 := e.Machine.Mols
 	out := e.Machine.Exec(code)
 	e.Metrics.MolsPrologue += e.Machine.Mols - mols0
 	switch {
 	case out.Fault == vliw.FIRQ:
-		// Deliver at the committed boundary; the dispatcher comes back and
-		// re-runs the prologue afterwards.
-		e.deliverIRQ()
-		return prologueIRQ
+		return exitPrologueIRQ, false
 	case out.Fault != vliw.FNone:
 		e.err = fmt.Errorf("cms: prologue fault %v at %#x", out.Fault, ent.T.Entry)
-		return prologueErr
-	case out.Exit == pass:
-		return prologuePass
-	case out.Exit == fail:
-		return prologueFail
+		return exitPrologueErr, false
+	case out.Exit == passExit:
+		return 0, true
+	case out.Exit == failExit:
+		// Source changed under the prologue; no guest state was touched.
+		return exitRevalFail, false
 	}
 	e.err = fmt.Errorf("cms: prologue exit %d unknown", out.Exit)
-	return prologueErr
+	return exitPrologueErr, false
 }
 
 // reprotect restores write protection over a translation's source bytes
@@ -676,24 +676,5 @@ func (e *Engine) reprotect(t *xlate.Translation) {
 		} else {
 			e.Plat.Bus.Protect(p)
 		}
-	}
-}
-
-// deliverIRQ lets the interpreter deliver a pending interrupt at the
-// current (committed) boundary.
-func (e *Engine) deliverIRQ() {
-	cpu := &e.Interp.CPU
-	e.Machine.StoreGuest(&cpu.Regs, &cpu.Flags)
-	cpu.EIP = e.Machine.CommittedEIP
-	res := e.Interp.Step()
-	e.Metrics.MolsInterp += res.Cost
-	if res.IRQ {
-		e.Metrics.Interrupts++
-	}
-	if res.Stop == interp.StopError {
-		e.err = res.Err
-	}
-	if res.Retired {
-		e.Metrics.GuestInterp++
 	}
 }

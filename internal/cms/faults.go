@@ -7,8 +7,8 @@ import (
 )
 
 // handleFault is the recovery path of §3: the machine has already rolled
-// back to the last committed boundary (cpu state restored, CommittedEIP set
-// by the caller). Infrequent faults are simply absorbed by interpreting the
+// back to the last committed boundary, and surface has handed that state to
+// the interpreter. Infrequent faults are simply absorbed by interpreting the
 // region; recurring ones trigger adaptive retranslation.
 func (e *Engine) handleFault(ent *tcache.Entry, out vliw.Outcome) {
 	e.maybeQuarantine(ent)
@@ -16,18 +16,7 @@ func (e *Engine) handleFault(ent *tcache.Entry, out vliw.Outcome) {
 	case vliw.FIRQ:
 		// Deliver the pending interrupt at the consistent boundary (§3.3).
 		// Interrupts never trigger adaptive retranslation.
-		res := e.Interp.Step()
-		e.Metrics.MolsInterp += res.Cost
-		if res.Stop == interp.StopError {
-			e.err = res.Err
-		}
-		if res.IRQ {
-			e.Metrics.Interrupts++
-			e.trace(EvIRQ, e.Interp.CPU.EIP, "")
-		}
-		if res.Retired {
-			e.Metrics.GuestInterp++
-		}
+		e.step()
 		return
 	case vliw.FBadCode:
 		e.err = out.Err
@@ -145,21 +134,12 @@ func (e *Engine) interpretRegion(ent *tcache.Entry, out vliw.Outcome) bool {
 		if !ent.T.Covers(e.Interp.CPU.EIP) {
 			break
 		}
-		res := e.Interp.Step()
-		e.Metrics.MolsInterp += res.Cost
+		res := e.step()
 		switch res.Stop {
 		case interp.StopError:
-			e.err = res.Err
 			return genuine
 		case interp.StopProt:
-			e.resolveProt(res.Prot.Addr, res.Prot.Size)
 			continue
-		}
-		if res.Retired {
-			e.Metrics.GuestInterp++
-		}
-		if res.IRQ {
-			e.Metrics.Interrupts++
 		}
 		if out.Fault == vliw.FGuest && res.Vector == out.GuestVec && !res.IRQ && res.Vector >= 0 {
 			genuine = true

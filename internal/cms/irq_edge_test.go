@@ -1,6 +1,7 @@
 package cms
 
 import (
+	"fmt"
 	"testing"
 
 	"cms/internal/asm"
@@ -27,11 +28,11 @@ const (
 )
 
 // irqEdgeProgram builds a timer-pressured kernel: a transparent tick
-// handler on the timer vector, the interval timer running across a hot
-// loop, timer off, halt. With smc set, the hot loop's first instruction is
-// rewritten between ADD and SUB by a byte store on every outer iteration —
-// SMC teardown racing delivery.
-func irqEdgeProgram(smc bool) *asm.Builder {
+// handler on the timer vector, the interval timer (a tick every period
+// instructions) running across a hot loop, timer off, halt. With smc set,
+// the hot loop's first instruction is rewritten between ADD and SUB by a
+// byte store on every outer iteration — SMC teardown racing delivery.
+func irqEdgeProgram(smc bool, period uint32) *asm.Builder {
 	eax, ebx, ecx, edx, esi, edi, ebp := guest.EAX, guest.EBX, guest.ECX, guest.EDX, guest.ESI, guest.EDI, guest.EBP
 	b := asm.NewBuilder(0x1000)
 	b.Jmp("main")
@@ -47,7 +48,7 @@ func irqEdgeProgram(smc bool) *asm.Builder {
 	b.Label("main")
 	b.MovRILabel(eax, "tick")
 	b.MovMR(asm.Abs(guest.IVTBase+4*guest.VecIRQBase), eax)
-	b.MovRI(eax, 13)
+	b.MovRI(eax, period)
 	b.Out(dev.TimerPeriodPort, eax)
 
 	b.MovRI(eax, 0)
@@ -88,15 +89,37 @@ func irqEdgeProgram(smc bool) *asm.Builder {
 	return b
 }
 
-// edgeRun assembles and runs the program under cfg.
+// edgeRun assembles and runs the program under cfg to a halt.
 func edgeRun(t *testing.T, b *asm.Builder, cfg Config) *Engine {
 	t.Helper()
+	e := edgeEngine(b, cfg, 0x100000)
+	runToHalt(t, e, 10_000_000)
+	checkIRQTrace(t, e)
+	return e
+}
+
+// edgeEngine assembles the program onto a fresh platform and builds an
+// engine over it with the stack pointer at esp and a trace large enough to
+// hold every event of an edge run.
+func edgeEngine(b *asm.Builder, cfg Config, esp uint32) *Engine {
 	plat := dev.NewPlatform(1<<21, nil)
 	plat.Bus.WriteRaw(b.Origin(), b.MustAssemble())
 	e := New(plat, b.Origin(), cfg)
-	e.CPU().Regs[guest.ESP] = 0x100000
-	runToHalt(t, e, 10_000_000)
+	e.CPU().Regs[guest.ESP] = esp
+	e.Trace = NewTrace(1 << 20)
 	return e
+}
+
+// checkIRQTrace asserts the trace saw every interrupt the Metrics counted:
+// each delivery path, interpreted or translated, must be visible.
+func checkIRQTrace(t *testing.T, e *Engine) {
+	t.Helper()
+	if e.Trace.Dropped != 0 {
+		t.Fatalf("trace dropped %d events", e.Trace.Dropped)
+	}
+	if got, want := e.Trace.CountKind(EvIRQ), e.Metrics.Interrupts; uint64(got) != want {
+		t.Errorf("trace holds %d irq events, Metrics.Interrupts = %d", got, want)
+	}
 }
 
 // edgeCompare asserts registers, flags, and console match the reference.
@@ -139,8 +162,8 @@ func TestIRQPendingAtRollbackBoundary(t *testing.T) {
 	inj := &periodicInjector{period: 5, action: InjectRollback}
 	cfg := DefaultConfig()
 	cfg.Injector = inj
-	e := edgeRun(t, irqEdgeProgram(false), cfg)
-	ref := edgeRun(t, irqEdgeProgram(false), Config{NoTranslate: true})
+	e := edgeRun(t, irqEdgeProgram(false, 13), cfg)
+	ref := edgeRun(t, irqEdgeProgram(false, 13), Config{NoTranslate: true})
 	edgeCompare(t, e, ref)
 
 	if inj.fired == 0 {
@@ -164,8 +187,8 @@ func TestIRQDuringInterpreterFallback(t *testing.T) {
 	inj := &periodicInjector{period: 7, action: InjectAliasFault}
 	cfg := DefaultConfig()
 	cfg.Injector = inj
-	e := edgeRun(t, irqEdgeProgram(false), cfg)
-	ref := edgeRun(t, irqEdgeProgram(false), Config{NoTranslate: true})
+	e := edgeRun(t, irqEdgeProgram(false, 13), cfg)
+	ref := edgeRun(t, irqEdgeProgram(false, 13), Config{NoTranslate: true})
 	edgeCompare(t, e, ref)
 
 	if inj.fired == 0 {
@@ -184,8 +207,8 @@ func TestIRQDuringInterpreterFallback(t *testing.T) {
 // invalidation/teardown, retranslation, and asynchronous delivery all
 // interleave, and the guest must not be able to tell.
 func TestIRQRacingSMCTeardown(t *testing.T) {
-	e := edgeRun(t, irqEdgeProgram(true), DefaultConfig())
-	ref := edgeRun(t, irqEdgeProgram(true), Config{NoTranslate: true})
+	e := edgeRun(t, irqEdgeProgram(true, 13), DefaultConfig())
+	ref := edgeRun(t, irqEdgeProgram(true, 13), Config{NoTranslate: true})
 	edgeCompare(t, e, ref)
 
 	if e.Metrics.Translations == 0 {
@@ -197,4 +220,117 @@ func TestIRQRacingSMCTeardown(t *testing.T) {
 	if e.Metrics.Interrupts == 0 {
 		t.Error("timer never delivered")
 	}
+}
+
+// progressWatchdog wraps an Injector (nil: inject nothing) and fails the
+// test once translated execution stops making forward progress: limit
+// consecutive commit boundaries at which the retired-instruction count has
+// not moved. It detects a livelock without a clock.
+type progressWatchdog struct {
+	t     *testing.T
+	inner Injector
+	limit int
+	last  uint64
+	still int
+}
+
+func (w *progressWatchdog) TexecBoundary(entry uint32, retired uint64) InjectAction {
+	if retired != w.last {
+		w.last, w.still = retired, 0
+	} else if w.still++; w.still >= w.limit {
+		w.t.Fatalf("livelock: %d commit boundaries at %#x without retiring a guest instruction (%d retired)",
+			w.still, entry, retired)
+	}
+	if w.inner == nil {
+		return InjectNone
+	}
+	return w.inner.TexecBoundary(entry, retired)
+}
+
+// TestTranslationAddsNoLivelock is the forward-progress property: whenever
+// pure interpretation halts, the engine halts too, with the same guest
+// state. The sweep puts the stack on its own page and on the translated
+// code page itself — where an interrupt's stack push hits write
+// protection at the rollback boundary — across timer periods and the
+// configurations that reach every delivery path (plain and compiled
+// translated execution, forced rollbacks, forced evictions).
+func TestTranslationAddsNoLivelock(t *testing.T) {
+	configs := []struct {
+		name string
+		cfg  func() (Config, Injector)
+	}{
+		{"default", func() (Config, Injector) { return DefaultConfig(), nil }},
+		{"nocompile", func() (Config, Injector) {
+			cfg := DefaultConfig()
+			cfg.EnableCompiledBackend = false
+			return cfg, nil
+		}},
+		{"rollback", func() (Config, Injector) {
+			return DefaultConfig(), &periodicInjector{period: 5, action: InjectRollback}
+		}},
+		{"evict", func() (Config, Injector) {
+			return DefaultConfig(), &periodicInjector{period: 7, action: InjectEvict}
+		}},
+	}
+	stacks := []struct {
+		name string
+		esp  uint32
+	}{{"ownpage", 0x100000}, {"codepage", 0x1f00}}
+	const budget = 10_000_000
+	for period := uint32(9); period <= 24; period++ {
+		for _, st := range stacks {
+			ref := edgeEngine(irqEdgeProgram(false, period), Config{NoTranslate: true}, st.esp)
+			if err := ref.Run(budget); err != nil || !ref.CPU().Halted {
+				continue // nothing to hold the engine to
+			}
+			for _, c := range configs {
+				t.Run(fmt.Sprintf("period=%d/stack=%s/%s", period, st.name, c.name), func(t *testing.T) {
+					cfg, inj := c.cfg()
+					cfg.Injector = &progressWatchdog{t: t, inner: inj, limit: 100_000}
+					e := edgeEngine(irqEdgeProgram(false, period), cfg, st.esp)
+					runToHalt(t, e, budget)
+					edgeCompare(t, e, ref)
+				})
+			}
+		}
+	}
+}
+
+// BenchmarkFaultRoundTrip times the §3.3 interrupt round trip under
+// translation: a timer interrupt pending in a hot translated loop rolls the
+// translation back (FIRQ), the interpreter delivers it at the committed
+// boundary, the dispatcher runs the handler and re-enters the loop's
+// translation. The timer fires every roundTripPeriod guest instructions, so
+// one op is one round trip plus that much translated execution; ns/irq is
+// the wall clock per delivered interrupt.
+func BenchmarkFaultRoundTrip(b *testing.B) {
+	const roundTripPeriod = 24
+	src := fmt.Sprintf(`
+.org 0x1000
+	mov [0x180], tick        ; IVT[timer]
+	mov eax, %d
+	out 0x40, eax
+loop:
+	inc ebx
+	add ecx, ebx
+	jmp loop
+tick:
+	iret
+`, roundTripPeriod)
+	e := build(b, src, DefaultConfig(), nil)
+	if err := e.Run(100_000); err != ErrBudget {
+		b.Fatalf("warm-up: %v", err)
+	}
+	irq0, firq0 := e.Metrics.Interrupts, e.Metrics.Faults[vliw.FIRQ]
+	b.ResetTimer()
+	if err := e.Run(e.Metrics.GuestTotal() + roundTripPeriod*uint64(b.N)); err != ErrBudget {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	irqs := e.Metrics.Interrupts - irq0
+	if irqs == 0 || e.Metrics.Faults[vliw.FIRQ]-firq0 < irqs {
+		b.Fatalf("%d interrupts, %d FIRQ rollbacks: not the translated round trip",
+			irqs, e.Metrics.Faults[vliw.FIRQ]-firq0)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(irqs), "ns/irq")
 }

@@ -60,7 +60,12 @@ require_tests ./internal/xlate/ TestTranslatorOutputDigest TestScratchPoolSafety
 # below executes it).
 require_tests ./internal/mem/ FuzzBusResetComplete TestReadsLeavePagesUnbacked \
 	TestFirstWriteBacksPage TestResetReusesBackings BenchmarkBusFastPaths
-require_tests ./internal/cms/ TestConstructionAllocCeiling
+# The engine: a VM's construction ceiling; forward progress — whenever pure
+# interpretation halts, translated execution halts too, with the same state;
+# and the dispatcher's books — every translated episode returns once, and
+# the dispatch molecules are exactly the lookups' and returns' charges.
+require_tests ./internal/cms/ TestConstructionAllocCeiling TestTranslationAddsNoLivelock \
+	TestDispatchLedgerBalances
 # The compiled executor's two structural licences — the gated store buffer
 # against a byte-map model (its summaries are exact, its forwarding right),
 # and every molecule of a run entered directly, with and without an interrupt
