@@ -38,7 +38,9 @@
 // SIGTERM/SIGINT stops admission and drains every queued and running VM to
 // completion, then exits 0. With -checkpoint-drain DIR the drain instead
 // preempts in-flight jobs into snapshot envelopes written to DIR (one
-// <jobid>.cmssnap each), ready to POST to another instance's /v1/restore.
+// <jobid>.cmssnap each), ready to POST to another instance's /v1/restore;
+// if DIR cannot be made or any preempted job's envelope is not written, the
+// drain names the lost jobs and exits 1.
 // An unknown or malformed flag exits 1 before anything starts.
 package main
 
@@ -51,6 +53,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"net"
 	"net/http"
 	"net/url"
 	"os"
@@ -345,20 +348,32 @@ const (
 	idleTimeout       = 2 * time.Minute
 )
 
-func main() {
-	flag.CommandLine.Init(os.Args[0], flag.ContinueOnError)
-	addr := flag.String("addr", ":8086", "listen address")
-	vms := flag.Int("vms", 4, "concurrent guest VMs")
-	queue := flag.Int("queue", 64, "admission queue depth")
-	storeAtoms := flag.Int("store-atoms", 0, "shared store budget in code atoms (0 = default)")
-	incidentDir := flag.String("incidents", "", "directory for replayable incident bundles (empty = disabled)")
-	stormThreshold := flag.Uint("storm-threshold", 16, "rollback-storm quarantine threshold per shared artifact (0 = off)")
-	drainDir := flag.String("checkpoint-drain", "", "on SIGTERM, checkpoint in-flight jobs into this directory instead of running them out")
-	if err := flag.CommandLine.Parse(os.Args[1:]); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			os.Exit(0)
-		}
-		os.Exit(1)
+// daemon is one cmsserve process: the farm, its HTTP server and what SIGTERM
+// does to them. main and the tests both run it through serve.
+type daemon struct {
+	addr       string
+	vms, queue int
+	drainDir   string
+	farm       *farm.Farm
+	srv        *http.Server
+	log        *log.Logger
+}
+
+// newDaemon parses the command line and builds the farm. Flag errors are
+// reported on stderr and returned (flag.ErrHelp for -h), before anything
+// starts.
+func newDaemon(args []string, stderr io.Writer) (*daemon, error) {
+	fs := flag.NewFlagSet("cmsserve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", ":8086", "listen address")
+	vms := fs.Int("vms", 4, "concurrent guest VMs")
+	queue := fs.Int("queue", 64, "admission queue depth")
+	storeAtoms := fs.Int("store-atoms", 0, "shared store budget in code atoms (0 = default)")
+	incidentDir := fs.String("incidents", "", "directory for replayable incident bundles (empty = disabled)")
+	stormThreshold := fs.Uint("storm-threshold", 16, "rollback-storm quarantine threshold per shared artifact (0 = off)")
+	drainDir := fs.String("checkpoint-drain", "", "on SIGTERM, checkpoint in-flight jobs into this directory instead of running them out")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
 	}
 
 	cfg := cms.DefaultConfig()
@@ -370,61 +385,106 @@ func main() {
 		Engine:        cfg,
 		IncidentDir:   *incidentDir,
 	})
+	return &daemon{
+		addr:     *addr,
+		vms:      *vms,
+		queue:    *queue,
+		drainDir: *drainDir,
+		farm:     f,
+		srv: &http.Server{
+			Handler: (&server{farm: f}).routes(),
+			// A client may not hold a connection open by trickling its
+			// request: headers within readHeaderTimeout, the whole request
+			// (a maxSnapshotBody upload included) within readTimeout. No
+			// write timeout: /v1/migrate answers only after the target has
+			// restored.
+			ReadHeaderTimeout: readHeaderTimeout,
+			ReadTimeout:       readTimeout,
+			IdleTimeout:       idleTimeout,
+		},
+		log: log.New(stderr, "", log.LstdFlags),
+	}, nil
+}
 
-	srv := &http.Server{
-		Addr:    *addr,
-		Handler: (&server{farm: f}).routes(),
-		// A client may not hold a connection open by trickling its request:
-		// headers within readHeaderTimeout, the whole request (a
-		// maxSnapshotBody upload included) within readTimeout. No write
-		// timeout: /v1/migrate answers only after the target has restored.
-		ReadHeaderTimeout: readHeaderTimeout,
-		ReadTimeout:       readTimeout,
-		IdleTimeout:       idleTimeout,
+// serve answers HTTP on ln until ctx is cancelled, then stops admission and
+// drains: every queued and running VM runs to completion, or with
+// -checkpoint-drain is preempted into DIR/<jobid>.cmssnap. A job that was
+// preempted but whose envelope did not reach DIR is lost to the replacement
+// instance, so serve returns an error naming it.
+func (d *daemon) serve(ctx context.Context, ln net.Listener) error {
+	d.log.Printf("cmsserve: listening on %s (%d VMs, queue %d)", d.addr, d.vms, d.queue)
+	served := make(chan error, 1)
+	go func() { served <- d.srv.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
 	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
-	done := make(chan struct{})
-	go func() {
-		<-sig
-		log.Printf("cmsserve: draining (%d queued, %d active)...",
-			f.Stats().Queued, f.Stats().Active)
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(ctx) // stop accepting HTTP, finish in-flight requests
-		if *drainDir != "" {
-			// Checkpoint-drain: preempt in-flight VMs into snapshot
-			// envelopes instead of running them out, so a replacement
-			// instance can resume them via /v1/restore.
-			_ = os.MkdirAll(*drainDir, 0o755)
-			views := f.CheckpointDrain()
-			saved := 0
-			for _, v := range views {
-				blob, ok := f.Snapshot(v.ID)
-				if !ok {
-					continue
-				}
-				path := filepath.Join(*drainDir, v.ID+".cmssnap")
-				if err := os.WriteFile(path, blob, 0o644); err != nil {
-					log.Printf("cmsserve: writing %s: %v", path, err)
-					continue
-				}
-				saved++
-			}
-			log.Printf("cmsserve: checkpoint-drain: %d snapshots written to %s", saved, *drainDir)
-		} else {
-			f.Drain() // run every admitted VM to completion
-		}
-		close(done)
-	}()
-
-	log.Printf("cmsserve: listening on %s (%d VMs, queue %d)", *addr, *vms, *queue)
-	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		log.Fatal(err)
+	st := d.farm.Stats()
+	d.log.Printf("cmsserve: draining (%d queued, %d active)...", st.Queued, st.Active)
+	sctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 10*time.Second)
+	defer cancel()
+	// Stop accepting HTTP and finish in-flight requests; one still running
+	// after the timeout is cut off, and the drain goes ahead regardless.
+	_ = d.srv.Shutdown(sctx)
+	<-served
+	var err error
+	if d.drainDir != "" {
+		err = d.checkpointDrain()
+	} else {
+		d.farm.Drain()
 	}
-	<-done
-	st := f.Stats()
-	log.Printf("cmsserve: drained: %d done, %d failed, %d timed out, %d checkpointed, %d incidents, dedup %.1f%%",
+	st = d.farm.Stats()
+	d.log.Printf("cmsserve: drained: %d done, %d failed, %d timed out, %d checkpointed, %d incidents, dedup %.1f%%",
 		st.Done, st.Failed, st.Timeouts, st.Checkpoints, st.Incidents, 100*st.Store.DedupRatio())
+	return err
+}
+
+// checkpointDrain preempts in-flight VMs into snapshot envelopes instead of
+// running them out, so a replacement instance can resume them via
+// /v1/restore. Every checkpointed job whose envelope is not on disk
+// afterwards is named in the error.
+func (d *daemon) checkpointDrain() error {
+	var errs []error
+	if err := os.MkdirAll(d.drainDir, 0o755); err != nil {
+		errs = append(errs, err)
+	}
+	saved := 0
+	for _, v := range d.farm.CheckpointDrain() {
+		blob, ok := d.farm.Snapshot(v.ID)
+		if !ok {
+			errs = append(errs, fmt.Errorf("%s: checkpointed without a snapshot", v.ID))
+			continue
+		}
+		if err := os.WriteFile(filepath.Join(d.drainDir, v.ID+".cmssnap"), blob, 0o644); err != nil {
+			errs = append(errs, fmt.Errorf("%s: %w", v.ID, err))
+			continue
+		}
+		saved++
+	}
+	d.log.Printf("cmsserve: checkpoint-drain: %d snapshots written to %s", saved, d.drainDir)
+	if len(errs) > 0 {
+		return fmt.Errorf("cmsserve: checkpoint-drain: %w", errors.Join(errs...))
+	}
+	return nil
+}
+
+func main() {
+	d, err := newDaemon(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
+		os.Exit(1)
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
+	defer stop()
+	ln, err := net.Listen("tcp", d.addr)
+	if err == nil {
+		err = d.serve(ctx, ln)
+	}
+	if err != nil {
+		d.log.Print(err)
+		os.Exit(1)
+	}
 }

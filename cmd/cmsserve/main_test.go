@@ -1,17 +1,25 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
+	"flag"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"cms/internal/cms"
 	"cms/internal/farm"
+	"cms/internal/incident"
 )
 
 const smokeSource = `
@@ -32,13 +40,15 @@ func newTestServer(t *testing.T, fcfg farm.Config) (*httptest.Server, *farm.Farm
 	}
 	f := farm.New(fcfg)
 	ts := httptest.NewServer((&server{farm: f}).routes())
-	t.Cleanup(func() { ts.Close(); f.Drain() })
+	// Preempt rather than run out what a test left in flight: the
+	// multi-second jobs that congest a queue are not the point of any test.
+	t.Cleanup(func() { ts.Close(); f.CheckpointDrain() })
 	return ts, f
 }
 
-func postJob(t *testing.T, ts *httptest.Server, body string) (*http.Response, farm.JobView) {
+func postJob(t *testing.T, base, body string) (*http.Response, farm.JobView) {
 	t.Helper()
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +67,7 @@ func postJob(t *testing.T, ts *httptest.Server, body string) (*http.Response, fa
 func TestServeSmoke(t *testing.T) {
 	ts, _ := newTestServer(t, farm.Config{MaxVMs: 2})
 
-	resp, v := postJob(t, ts, `{"source":`+jsonString(smokeSource)+`}`)
+	resp, v := postJob(t, ts.URL, `{"source":`+jsonString(smokeSource)+`}`)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %d", resp.StatusCode)
 	}
@@ -112,13 +122,13 @@ func TestServeSmoke(t *testing.T) {
 
 func TestBadRequests(t *testing.T) {
 	ts, _ := newTestServer(t, farm.Config{MaxVMs: 1})
-	if resp, _ := postJob(t, ts, `{`); resp.StatusCode != http.StatusBadRequest {
+	if resp, _ := postJob(t, ts.URL, `{`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad JSON: %d", resp.StatusCode)
 	}
-	if resp, _ := postJob(t, ts, `{}`); resp.StatusCode != http.StatusBadRequest {
+	if resp, _ := postJob(t, ts.URL, `{}`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty spec: %d", resp.StatusCode)
 	}
-	if resp, _ := postJob(t, ts, `{"workload":"nope"}`); resp.StatusCode != http.StatusBadRequest {
+	if resp, _ := postJob(t, ts.URL, `{"workload":"nope"}`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown workload: %d", resp.StatusCode)
 	}
 	r, err := http.Get(ts.URL + "/v1/jobs/job-999999")
@@ -141,7 +151,7 @@ func TestQueueFullIs429(t *testing.T) {
 	src := `{"source":` + jsonString(slow) + `}`
 	saw429 := false
 	for i := 0; i < 8; i++ {
-		resp, _ := postJob(t, ts, src)
+		resp, _ := postJob(t, ts.URL, src)
 		if resp.StatusCode == http.StatusTooManyRequests {
 			if resp.Header.Get("Retry-After") == "" {
 				t.Error("429 without Retry-After")
@@ -327,5 +337,296 @@ func TestReadyzHealthy(t *testing.T) {
 	r.Body.Close()
 	if r.StatusCode != http.StatusOK {
 		t.Errorf("readyz on a healthy farm = %d", r.StatusCode)
+	}
+}
+
+// longSource retires ~9M guest instructions: long enough that a migrate or
+// drain request always lands while the job is still mid-run, and far past
+// the first cancel poll, so the hot loop is translated by then.
+const longSource = `
+.org 0x1000
+_start:
+	mov edx, 150
+outer:
+	mov ecx, 20000
+inner:
+	add eax, 3
+	dec ecx
+	jne inner
+	dec edx
+	jne outer
+	hlt
+`
+
+var longJob = farm.JobSpec{Source: longSource}
+
+// testLog sends a daemon's log lines to the test log.
+type testLog struct{ t *testing.T }
+
+func (w testLog) Write(p []byte) (int, error) {
+	w.t.Log(strings.TrimSuffix(string(p), "\n"))
+	return len(p), nil
+}
+
+// startDaemon runs the daemon cmsserve's main would build from args on a
+// 127.0.0.1:0 listener and returns its base URL. stop is SIGTERM: it
+// cancels serve's context and returns what serve returned once the drain is
+// over. Cleanup stops a daemon the test left running.
+func startDaemon(t *testing.T, args ...string) (d *daemon, base string, stop func() error) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err = newDaemon(append([]string{"-addr", ln.Addr().String()}, args...), testLog{t})
+	if err != nil {
+		ln.Close()
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- d.serve(ctx, ln) }()
+	stop = sync.OnceValue(func() error {
+		cancel()
+		return <-served
+	})
+	t.Cleanup(func() { _ = stop() })
+	return d, "http://" + ln.Addr().String(), stop
+}
+
+// submitAndWait runs spec on f to completion and returns its result.
+func submitAndWait(t *testing.T, f *farm.Farm, spec farm.JobSpec) *farm.Result {
+	t.Helper()
+	v, err := f.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Wait()
+	return doneResult(t, f, v.ID)
+}
+
+// doneResult is the result of job id on f, which must have finished done.
+func doneResult(t *testing.T, f *farm.Farm, id string) *farm.Result {
+	t.Helper()
+	v, ok := f.Job(id)
+	if !ok || v.Status != farm.StatusDone {
+		t.Fatalf("%s: status %s (%s), want done", id, v.Status, v.Error)
+	}
+	return v.Result
+}
+
+// waitRunning blocks until f's runners have picked up n jobs.
+func waitRunning(t *testing.T, f *farm.Farm, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for f.Stats().Active < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("runners never picked up %d jobs", n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// sameFinalState requires got to be bit-identical to want in everything but
+// wall-clock cost, shared-store attribution and retry bookkeeping:
+// registers, flags, console, the full Metrics struct, cache statistics.
+func sameFinalState(t *testing.T, what string, want, got *farm.Result) {
+	t.Helper()
+	strip := func(r farm.Result) farm.Result {
+		r.WallNs, r.SharedHits, r.SharedMisses = 0, 0, 0
+		r.Attempts, r.Rung, r.RetryReason = 0, "", ""
+		return r
+	}
+	if !reflect.DeepEqual(strip(*want), strip(*got)) {
+		t.Errorf("%s: final state diverged from the uninterrupted run:\nwant %+v\ngot  %+v", what, *want, *got)
+	}
+}
+
+// TestMigrate checkpoints a long job mid-run on daemon A through
+// POST /v1/migrate and finishes it on daemon B: the final state must be
+// bit-identical to an uninterrupted run, and B must have rebuilt the
+// translations through its store's rehydrate path.
+func TestMigrate(t *testing.T) {
+	a, baseA, _ := startDaemon(t, "-vms", "2")
+	b, baseB, _ := startDaemon(t, "-vms", "2")
+	want := submitAndWait(t, a.farm, longJob)
+
+	_, v := postJob(t, baseA, `{"source":`+jsonString(longSource)+`}`)
+	resp, err := http.Post(baseA+"/v1/migrate", "application/json",
+		strings.NewReader(`{"job":"`+v.ID+`","target":"`+baseB+`"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		raw, _ := io.ReadAll(resp.Body)
+		t.Fatalf("migrate: %d: %s", resp.StatusCode, raw)
+	}
+	var mig struct{ Source, Target farm.JobView }
+	if err := json.NewDecoder(resp.Body).Decode(&mig); err != nil {
+		t.Fatal(err)
+	}
+	if mig.Source.Status != farm.StatusCheckpointed || mig.Source.SnapshotBytes == 0 {
+		t.Fatalf("source view: status %s, %d snapshot bytes", mig.Source.Status, mig.Source.SnapshotBytes)
+	}
+	b.farm.Wait()
+	sameFinalState(t, "migrated", want, doneResult(t, b.farm, mig.Target.ID))
+	if tv, _ := b.farm.Job(mig.Target.ID); !tv.Restored {
+		t.Error("migrated job not flagged restored")
+	}
+	if st := b.farm.Store().Stats(); st.RehydrateHits+st.RehydrateMisses == 0 {
+		t.Error("target store rehydrated nothing: the job did not resume from its snapshot")
+	}
+}
+
+// TestChaosIncidentReplays submits a job armed with a deterministic injected
+// panic: the failure is contained (the job fails, the daemon stays ready),
+// and the incident bundle it wrote replays solo through the calls
+// cmsfuzz -replay makes.
+func TestChaosIncidentReplays(t *testing.T) {
+	d, base, _ := startDaemon(t, "-vms", "2", "-incidents", t.TempDir())
+	_, v := postJob(t, base, `{"source":`+jsonString(smokeSource)+`,"inject_seed":5,"chaos_panics":true}`)
+	d.farm.Wait()
+
+	r, err := http.Get(base + "/v1/jobs/" + v.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = json.NewDecoder(r.Body).Decode(&v)
+	r.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Status != farm.StatusFailed || !strings.Contains(v.Error, "panic:") {
+		t.Fatalf("chaos job: status %s (%s), want a contained panic", v.Status, v.Error)
+	}
+	if len(v.Incidents) == 0 {
+		t.Fatal("chaos job failed without an incident bundle")
+	}
+	r, err = http.Get(base + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Body.Close()
+	if r.StatusCode != http.StatusOK {
+		t.Fatalf("/readyz = %d after a contained panic", r.StatusCode)
+	}
+	bundle, err := incident.Load(v.Incidents[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := incident.Replay(bundle); err != nil {
+		t.Fatalf("replaying %s: %v", v.Incidents[0], err)
+	}
+}
+
+// TestDrain is SIGTERM: with one job running and one queued, cancelling
+// serve's context runs both to completion and serve returns nil.
+func TestDrain(t *testing.T) {
+	d, base, stop := startDaemon(t, "-vms", "1")
+	var ids []string
+	for i := 0; i < 2; i++ {
+		_, v := postJob(t, base, `{"source":`+jsonString(longSource)+`}`)
+		ids = append(ids, v.ID)
+	}
+	waitRunning(t, d.farm, 1)
+	if err := stop(); err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+	for _, id := range ids {
+		if res := doneResult(t, d.farm, id); res.Regs[0] != 9_000_000 {
+			t.Errorf("%s: eax = %d, want 9000000", id, res.Regs[0])
+		}
+	}
+}
+
+// TestCheckpointDrain is SIGTERM under -checkpoint-drain: cancelling serve's
+// context writes one <id>.cmssnap per in-flight job, and each, restored on
+// another daemon's farm, finishes with the uninterrupted run's final state.
+func TestCheckpointDrain(t *testing.T) {
+	dir := t.TempDir()
+	d, _, stop := startDaemon(t, "-vms", "1", "-checkpoint-drain", dir)
+	want := submitAndWait(t, d.farm, longJob)
+	var ids []string
+	for i := 0; i < 2; i++ {
+		v, err := d.farm.Submit(longJob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, v.ID)
+	}
+	waitRunning(t, d.farm, 1)
+	if err := stop(); err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != len(ids) {
+		t.Fatalf("%d snapshots written for %d in-flight jobs", len(files), len(ids))
+	}
+
+	fresh, _, _ := startDaemon(t, "-vms", "2")
+	var restored []string
+	for _, id := range ids {
+		blob, err := os.ReadFile(filepath.Join(dir, id+".cmssnap"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := fresh.farm.SubmitRestore(blob, farm.JobSpec{})
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		restored = append(restored, v.ID)
+	}
+	fresh.farm.Wait()
+	for i, id := range restored {
+		sameFinalState(t, ids[i]+" restored", want, doneResult(t, fresh.farm, id))
+	}
+}
+
+// TestCheckpointDrainLostJobsFail drains two in-flight jobs into a directory
+// that cannot be created: both are checkpointed and neither envelope
+// reaches disk, so serve must fail and name both jobs.
+func TestCheckpointDrainLostJobsFail(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, _, stop := startDaemon(t, "-vms", "2", "-checkpoint-drain", filepath.Join(file, "drain"))
+	var ids []string
+	for i := 0; i < 2; i++ {
+		v, err := d.farm.Submit(longJob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, v.ID)
+	}
+	waitRunning(t, d.farm, 2)
+	err := stop()
+	if err == nil {
+		t.Fatal("serve returned nil after losing both checkpointed jobs")
+	}
+	for _, id := range ids {
+		if v, _ := d.farm.Job(id); v.Status != farm.StatusCheckpointed {
+			t.Fatalf("%s: status %s, want checkpointed", id, v.Status)
+		}
+		if !strings.Contains(err.Error(), id) {
+			t.Errorf("serve error does not name lost job %s: %v", id, err)
+		}
+	}
+}
+
+// TestFlagErrors: a malformed flag, an unknown flag and -h are refused
+// before a farm is built.
+func TestFlagErrors(t *testing.T) {
+	for _, args := range [][]string{{"-vms", "many"}, {"-nope"}} {
+		if _, err := newDaemon(args, io.Discard); err == nil {
+			t.Errorf("newDaemon(%q) accepted", args)
+		}
+	}
+	if _, err := newDaemon([]string{"-h"}, io.Discard); !errors.Is(err, flag.ErrHelp) {
+		t.Errorf("-h: %v, want flag.ErrHelp", err)
 	}
 }
