@@ -92,7 +92,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		noGroups    = flag.Bool("nogroups", false, "disable translation groups (§3.6.5)")
 		noChain     = flag.Bool("nochain", false, "disable exit chaining")
 		noCompile   = flag.Bool("nocompile", false, "disable the compiled (step-array) backend; interpret translations")
-		backend     = flag.String("backend", "vliw", "code-gen backend: vliw (step-array) or risc (register IR, lazy EFLAGS)")
 		hot         = flag.Uint64("hot", 0, "translation threshold (0 = default)")
 		unroll      = flag.Int("unroll", 0, "region unroll factor (0 = default)")
 
@@ -134,11 +133,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg.EnableGroups = !*noGroups
 	cfg.EnableChaining = !*noChain
 	cfg.EnableCompiledBackend = !*noCompile
-	if !cms.ValidBackend(*backend) {
-		fmt.Fprintf(stderr, "cmsrun: unknown backend %q (want vliw or risc)\n", *backend)
-		return exitUsage
-	}
-	cfg.Backend = *backend
 	if *hot > 0 {
 		cfg.HotThreshold = *hot
 	}

@@ -127,6 +127,9 @@ func TestExitUsageErrors(t *testing.T) {
 	if code, _, _ := runCmsrun(t, "-workers", "2", src); code != exitUsage {
 		t.Errorf("removed -workers flag: exit %d, want %d", code, exitUsage)
 	}
+	if code, _, _ := runCmsrun(t, "-backend", "risc", src); code != exitUsage {
+		t.Errorf("removed -backend flag: exit %d, want %d", code, exitUsage)
+	}
 }
 
 // TestCheckpointRestoreRoundtrip splits one run across -checkpoint and

@@ -370,19 +370,16 @@ func newDaemon(args []string, stderr io.Writer) (*daemon, error) {
 	queue := fs.Int("queue", 64, "admission queue depth")
 	storeAtoms := fs.Int("store-atoms", 0, "shared store budget in code atoms (0 = default)")
 	incidentDir := fs.String("incidents", "", "directory for replayable incident bundles (empty = disabled)")
-	stormThreshold := fs.Uint("storm-threshold", 16, "rollback-storm quarantine threshold per shared artifact (0 = off)")
 	drainDir := fs.String("checkpoint-drain", "", "on SIGTERM, checkpoint in-flight jobs into this directory instead of running them out")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
 
-	cfg := cms.DefaultConfig()
-	cfg.RollbackStormThreshold = uint32(*stormThreshold)
 	f := farm.New(farm.Config{
 		MaxVMs:        *vms,
 		QueueDepth:    *queue,
 		StoreCapAtoms: *storeAtoms,
-		Engine:        cfg,
+		Engine:        cms.DefaultConfig(),
 		IncidentDir:   *incidentDir,
 	})
 	return &daemon{

@@ -20,6 +20,7 @@ import (
 	"cms/internal/cms"
 	"cms/internal/farm"
 	"cms/internal/incident"
+	"cms/internal/workload"
 )
 
 const smokeSource = `
@@ -618,15 +619,42 @@ func TestCheckpointDrainLostJobsFail(t *testing.T) {
 	}
 }
 
-// TestFlagErrors: a malformed flag, an unknown flag and -h are refused
-// before a farm is built.
+// TestFlagErrors: a malformed flag, an unknown flag, the removed
+// -storm-threshold and -h are refused before a farm is built.
 func TestFlagErrors(t *testing.T) {
-	for _, args := range [][]string{{"-vms", "many"}, {"-nope"}} {
+	for _, args := range [][]string{{"-vms", "many"}, {"-nope"}, {"-storm-threshold", "16"}} {
 		if _, err := newDaemon(args, io.Discard); err == nil {
 			t.Errorf("newDaemon(%q) accepted", args)
 		}
 	}
 	if _, err := newDaemon([]string{"-h"}, io.Discard); !errors.Is(err, flag.ErrHelp) {
 		t.Errorf("-h: %v, want flag.ErrHelp", err)
+	}
+}
+
+// TestDefaultDaemonPoisonsNothing runs the suite three times through the
+// farm the production defaults build. Rollback is the routine way the engine
+// reaches a consistent state — every delivered interrupt and every protected
+// store rolls back — so a healthy run may fault often, and nothing in it may
+// quarantine a shared translation: only a backend panic poisons a key.
+func TestDefaultDaemonPoisonsNothing(t *testing.T) {
+	d, err := newDaemon(nil, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.farm.Drain() })
+	// Round by round: the default queue holds 64 jobs, the suite is smaller.
+	for round := 0; round < 3; round++ {
+		for _, w := range workload.All() {
+			if _, err := d.farm.Submit(farm.JobSpec{Workload: w.Name}); err != nil {
+				t.Fatalf("round %d, %s: %v", round, w.Name, err)
+			}
+		}
+		d.farm.Wait()
+	}
+	st := d.farm.Stats()
+	if st.Failed != 0 || st.Store.Poisons != 0 || st.Store.PoisonHits != 0 {
+		t.Errorf("failed=%d poisons=%d poison hits=%d, want all 0",
+			st.Failed, st.Store.Poisons, st.Store.PoisonHits)
 	}
 }

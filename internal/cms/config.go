@@ -16,77 +16,84 @@ import (
 
 // Config holds the engine's tunables. The zero value is normalized to the
 // defaults by New; experiment harnesses override individual knobs.
+//
+// The JSON form is what an incident bundle records as its "engine" object
+// and what its replay runs with: every field a run's simulated behaviour
+// depends on is tagged, and the three host hooks (json:"-") are supplied by
+// whoever runs the engine. Zero numeric fields re-normalize to the same
+// defaults at replay that they did at capture.
 type Config struct {
 	// HotThreshold is the execution count at which a block head is handed
 	// to the translator (§2: "when the number of executions of a section of
 	// x86 code reaches a certain threshold").
-	HotThreshold uint64
+	HotThreshold uint64 `json:"hot_threshold,omitempty"`
 
 	// FaultThreshold is how many faults of one class a translation absorbs
 	// before adaptive retranslation kicks in ("infrequent failures" are
 	// handled by interpretation alone, which costs nothing up front).
-	FaultThreshold uint32
+	FaultThreshold uint32 `json:"fault_threshold,omitempty"`
 
 	// LookupCost is the molecule charge for one translation-cache lookup on
 	// the "no chain" path of Figure 1 (the branch-target lookup routine that
 	// chaining eliminates).
-	LookupCost uint64
+	LookupCost uint64 `json:"lookup_cost,omitempty"`
 
 	// TranslateCostPerInsn is the molecule charge per guest instruction
 	// translated, modelling the translator's own execution time ("the
 	// translator can be a significant portion of execution time"). The
 	// default is calibrated so that translator work lands at a realistic
 	// share of our deliberately short benchmark runs; see DESIGN.md §6.
-	TranslateCostPerInsn uint64
+	TranslateCostPerInsn uint64 `json:"translate_cost_per_insn,omitempty"`
 
 	// BasePolicy is the speculation policy every translation starts from;
 	// experiments use it to suppress reordering (Figure 2), disable the
 	// alias hardware (Figure 3), or force self-checking (§3.6.3 data).
-	BasePolicy xlate.Policy
+	BasePolicy xlate.Policy `json:"base_policy,omitzero"`
 
 	// EnableFineGrain turns on fine-grain write protection (§3.6.1); off
 	// reproduces the "without fine-grain" column of Table 1.
-	EnableFineGrain bool
+	EnableFineGrain bool `json:"enable_fine_grain,omitempty"`
 	// EnableSelfReval turns on self-revalidating translations (§3.6.2).
-	EnableSelfReval bool
+	EnableSelfReval bool `json:"enable_self_reval,omitempty"`
 	// EnableStylized turns on stylized-SMC immediate loading (§3.6.4).
-	EnableStylized bool
+	EnableStylized bool `json:"enable_stylized,omitempty"`
 	// EnableGroups turns on translation groups (§3.6.5).
-	EnableGroups bool
+	EnableGroups bool `json:"enable_groups,omitempty"`
 	// EnableCompiledBackend compiles installed translations into
 	// step-array code at install time and executes that form on the hot
 	// path. Purely a wall-clock optimization: gating,
 	// commit/rollback, faults, and all simulated Metrics are identical to
 	// the interpretive backend (the differential test in internal/bench
 	// asserts this on every workload).
-	EnableCompiledBackend bool
+	EnableCompiledBackend bool `json:"enable_compiled_backend,omitempty"`
 	// Backend selects which code-gen backend builds the executable form
 	// when EnableCompiledBackend is on: "vliw" (or empty) for the
 	// step-array backend, "risc" for the register-IR backend with
 	// lazy EFLAGS materialization. Both are bit-identical to the
 	// interpretive backend at every commit boundary (the ninth fuzzer
 	// oracle leg holds them to it); the tag participates in translation
-	// content keys, so mixed-backend farms never dedup across backends.
-	Backend string
+	// content keys, so engines on different backends that share a store
+	// never install each other's artifacts.
+	Backend string `json:"backend,omitempty"`
 	// EnableChaining links translation exits directly (§2); off forces
 	// every exit through the dispatcher for the chaining experiment.
-	EnableChaining bool
+	EnableChaining bool `json:"enable_chaining,omitempty"`
 
 	// Host selects the target microarchitecture generation (zero value:
 	// TM5800). Changing it retargets the translator without touching
 	// anything guest-visible — the co-design freedom of §2.
-	Host vliw.HostConfig
+	Host vliw.HostConfig `json:"host,omitzero"`
 
 	// NoTranslate forces pure interpretation (reference mode).
-	NoTranslate bool
+	NoTranslate bool `json:"no_translate,omitempty"`
 
 	// TCacheCapAtoms bounds the translation cache (0 = default).
-	TCacheCapAtoms int
+	TCacheCapAtoms int `json:"tcache_cap_atoms,omitempty"`
 
 	// IndTCHitCost is the molecule charge for an indirect-branch target
 	// cache hit (0 = default 2) — the cheap inline-cache path that replaces
 	// the full LookupCost dispatch lookup for hot indirect jumps.
-	IndTCHitCost uint64
+	IndTCHitCost uint64 `json:"ind_tc_hit_cost,omitempty"`
 
 	// SharedStore, when non-nil, deduplicates translation work across
 	// engines through a farm-wide content-addressed store (internal/farm):
@@ -95,13 +102,13 @@ type Config struct {
 	// artifact. Purely a wall-clock optimization — the engine charges the
 	// same simulated translation cost on a store hit as on a miss, so
 	// Metrics and final guest state are bit-identical to a solo run.
-	SharedStore *tcache.SharedStore
+	SharedStore *tcache.SharedStore `json:"-"`
 
 	// Injector, when non-nil, is consulted at every translated-execution
 	// commit boundary to force recovery events (rollback, alias fault,
 	// eviction) for fault-injection testing; see hooks.go. Injection must
 	// not change final guest state — only Metrics and wall clock.
-	Injector Injector
+	Injector Injector `json:"-"`
 
 	// Cancel, when non-nil, is the cooperative preemption hook: the engine
 	// polls it at the first commit boundary after every CancelQuantum
@@ -112,29 +119,13 @@ type Config struct {
 	// when idle and nothing at all is charged to the simulated Metrics, so a
 	// run that is never cancelled is bit-identical to one with no hook (see
 	// docs/INTERNALS.md).
-	Cancel func() bool
+	Cancel func() bool `json:"-"`
 
 	// CancelQuantum is the polling step, in retired guest instructions
 	// (0 = default 4096). Smaller quanta preempt sooner but call Cancel more
 	// often; the default polls a few hundred times per simulated millisecond
 	// of guest work.
-	CancelQuantum uint64
-
-	// RollbackStormThreshold, when non-zero and a SharedStore is configured,
-	// quarantines a translation's content key after that many rollback-class
-	// faults have hit one installed copy of it — a rollback storm. The
-	// poisoned key stops the artifact cascading to other VMs; poisoning is
-	// wall-clock-only (re-translation charges the same simulated cost), so
-	// Metrics stay bit-identical to a solo run.
-	RollbackStormThreshold uint32
-}
-
-// ValidBackend reports whether s is a recognized Config.Backend value:
-// empty (inherit/default), xlate.BackendVLIW, or xlate.BackendRISC. Entry
-// points that accept a backend from the outside (farm specs, cmsrun flags,
-// the serve API) validate with this before it reaches a translator.
-func ValidBackend(s string) bool {
-	return s == "" || s == xlate.BackendVLIW || s == xlate.BackendRISC
+	CancelQuantum uint64 `json:"cancel_quantum,omitempty"`
 }
 
 // DefaultConfig returns the standard configuration.

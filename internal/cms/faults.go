@@ -11,7 +11,6 @@ import (
 // the interpreter. Infrequent faults are simply absorbed by interpreting the
 // region; recurring ones trigger adaptive retranslation.
 func (e *Engine) handleFault(ent *tcache.Entry, out vliw.Outcome) {
-	e.maybeQuarantine(ent)
 	switch out.Fault {
 	case vliw.FIRQ:
 		// Deliver the pending interrupt at the consistent boundary (§3.3).
@@ -38,28 +37,6 @@ func (e *Engine) handleFault(ent *tcache.Entry, out vliw.Outcome) {
 
 	if e.shouldAdapt(ent, out, genuine) {
 		e.adapt(ent, out, genuine)
-	}
-}
-
-// maybeQuarantine poisons a shared artifact's content key when one installed
-// copy of it has absorbed RollbackStormThreshold rollback faults — a rollback
-// storm. Every fault class in this engine recovers by rolling back to the
-// committed boundary, so the per-entry fault counters ARE the storm signal.
-// Poisoning fires exactly once, at the crossing, and is wall-clock-only: the
-// other VMs simply translate the region privately until the TTL lapses, so
-// one artifact that keeps blowing up cannot keep cascading across the farm.
-func (e *Engine) maybeQuarantine(ent *tcache.Entry) {
-	th := e.Cfg.RollbackStormThreshold
-	if th == 0 || e.Cfg.SharedStore == nil || !ent.T.HasSharedKey {
-		return
-	}
-	var total uint32
-	for _, n := range ent.FaultCounts {
-		total += n
-	}
-	if total == th {
-		e.Cfg.SharedStore.Poison(ent.T.SharedKey, 0)
-		e.trace(EvInvalidate, ent.T.Entry, "rollback storm: shared key quarantined")
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"cms/internal/cms"
 	"cms/internal/dev"
 	"cms/internal/fuzzer"
-	"cms/internal/tcache"
 	"cms/internal/workload"
 )
 
@@ -120,102 +119,5 @@ func TestFarmDifferential(t *testing.T) {
 	}
 	if st.Done != uint64(2*len(ws)) {
 		t.Errorf("done = %d, want %d", st.Done, 2*len(ws))
-	}
-}
-
-// runMixedFarm submits copies×(workload, backend) jobs for every listed
-// backend over one shared store, drains, checks every job against its solo
-// result, and returns the final store stats.
-func runMixedFarm(t *testing.T, ws []workload.Workload, backends []string,
-	copies int, cfg cms.Config, solo map[string]*Result) tcache.SharedStats {
-	t.Helper()
-	f := New(Config{MaxVMs: 4, QueueDepth: copies * len(backends) * len(ws), Engine: cfg})
-	var ids []string
-	for i := 0; i < copies; i++ {
-		for _, w := range ws {
-			for _, backend := range backends {
-				v, err := f.Submit(JobSpec{Workload: w.Name, Backend: backend})
-				if err != nil {
-					t.Fatal(err)
-				}
-				ids = append(ids, v.ID)
-			}
-		}
-	}
-	f.Drain()
-	for _, id := range ids {
-		v, ok := f.Job(id)
-		if !ok {
-			t.Fatalf("%s vanished", id)
-		}
-		if v.Status != StatusDone {
-			t.Fatalf("%s (%s/%s): status %s: %s",
-				id, v.Spec.Backend, v.Spec.Workload, v.Status, v.Error)
-		}
-		key := v.Spec.Backend + "/" + v.Spec.Workload
-		diffResults(t, id+"/"+key, solo[key], v.Result)
-	}
-	return f.Stats().Store
-}
-
-// TestFarmMixedBackendDifferential runs farms where jobs execute under the
-// risc register-IR backend next to the default vliw compiled backend, over
-// one shared store. Two contracts at once:
-//
-//  1. Isolation: backend tags are part of the content keys, so the two
-//     backends install disjoint key sets — a mixed farm ends with exactly
-//     the sum of the single-backend farms' store entries. (A raw zero-hit
-//     assertion would be wrong: a lone VM legitimately re-hits artifacts it
-//     installed itself after SMC invalidations.)
-//  2. Identity: with within-backend duplicates added, dedup engages — the
-//     duplicates add no new entries and strictly raise the hit/wait count —
-//     and every job, whichever backend, hit or miss, finishes
-//     byte-identical to a solo run under that backend's configuration.
-//
-// Run under -race this also proves mixed-backend stores are data-race free.
-func TestFarmMixedBackendDifferential(t *testing.T) {
-	if testing.Short() {
-		t.Skip("differential suite is minutes long under -race")
-	}
-	cfg := cms.DefaultConfig()
-	ws := workload.Boots() // SMC/MMIO-heavy; the app suite is covered above
-
-	solo := make(map[string]*Result, 2*len(ws))
-	for _, w := range ws {
-		solo["vliw/"+w.Name] = soloRun(t, w, cfg)
-		rcfg := cfg
-		rcfg.Backend = "risc"
-		solo["risc/"+w.Name] = soloRun(t, w, rcfg)
-	}
-
-	vliwOnly := runMixedFarm(t, ws, []string{"vliw"}, 1, cfg, solo)
-	riscOnly := runMixedFarm(t, ws, []string{"risc"}, 1, cfg, solo)
-	mixed := runMixedFarm(t, ws, []string{"vliw", "risc"}, 1, cfg, solo)
-	if mixed.Evictions+vliwOnly.Evictions+riscOnly.Evictions != 0 {
-		t.Fatalf("unexpected evictions perturb the entry accounting")
-	}
-	if mixed.Entries != vliwOnly.Entries+riscOnly.Entries {
-		t.Errorf("backends share store keys: mixed entries %d != %d vliw + %d risc",
-			mixed.Entries, vliwOnly.Entries, riscOnly.Entries)
-	}
-
-	// Within-backend duplicates: no new keys, strictly more store service.
-	dup := runMixedFarm(t, ws, []string{"vliw", "risc"}, 2, cfg, solo)
-	if dup.Entries != mixed.Entries {
-		t.Errorf("duplicates changed the key set: %d entries, want %d",
-			dup.Entries, mixed.Entries)
-	}
-	if dup.Hits+dup.Waits <= mixed.Hits+mixed.Waits {
-		t.Errorf("within-backend duplicates produced no extra dedup: %d+%d vs %d+%d",
-			dup.Hits, dup.Waits, mixed.Hits, mixed.Waits)
-	}
-}
-
-// TestFarmRejectsUnknownBackend: backend validation happens at submit, not
-// deep inside a VM attempt.
-func TestFarmRejectsUnknownBackend(t *testing.T) {
-	f := New(Config{MaxVMs: 1, QueueDepth: 1})
-	if _, err := f.Submit(JobSpec{Workload: "boot-counting", Backend: "mips"}); err == nil {
-		t.Fatal("Submit accepted an unknown backend")
 	}
 }

@@ -67,10 +67,6 @@ type Config struct {
 	// source that does not assemble) produce no bundle: no engine ran.
 	IncidentDir string
 
-	// DisableRetry turns off the rung-demoting retry: failed and panicked
-	// jobs then report their first attempt's outcome directly.
-	DisableRetry bool
-
 	// BreakerWindow sizes the circuit breaker's recent-outcome ring
 	// (0 = default 32, negative = breaker disabled). The breaker opens when
 	// the window is full and at least half its outcomes are failures or
@@ -138,12 +134,6 @@ type JobSpec struct {
 	// (fuzzer.NewChaosSchedule).
 	InjectSeed  uint64 `json:"inject_seed,omitempty"`
 	ChaosPanics bool   `json:"chaos_panics,omitempty"`
-	// Backend overrides the engine's code-gen backend for this job
-	// ("vliw" or "risc"; empty inherits the farm engine config). The tag
-	// is part of every translation content key, so jobs on different
-	// backends never share artifacts even when they run identical guest
-	// regions against the same shared store.
-	Backend string `json:"backend,omitempty"`
 }
 
 // Result is a completed VM's final architectural state and statistics.
@@ -395,9 +385,6 @@ func (f *Farm) Submit(spec JobSpec) (JobView, error) {
 			return JobView{}, err
 		}
 	}
-	if !cms.ValidBackend(spec.Backend) {
-		return JobView{}, fmt.Errorf("farm: unknown backend %q", spec.Backend)
-	}
 	return f.admit(spec, nil, nil)
 }
 
@@ -411,9 +398,6 @@ func (f *Farm) Submit(spec JobSpec) (JobView, error) {
 func (f *Farm) SubmitRestore(blob []byte, spec JobSpec) (JobView, error) {
 	if spec.Workload != "" || spec.Source != "" {
 		return JobView{}, errors.New("farm: restore spec must not name a workload or source")
-	}
-	if !cms.ValidBackend(spec.Backend) {
-		return JobView{}, fmt.Errorf("farm: unknown backend %q", spec.Backend)
 	}
 	s, err := snapshot.Decode(blob)
 	if err != nil {
@@ -745,7 +729,7 @@ func (f *Farm) process(j *job, vm *vmSlot) (runEnd time.Time) {
 	firstErr := ""
 	// Restored jobs never retry on a demoted rung: a snapshot is only valid
 	// under the configuration it was captured with.
-	if out.res == nil && out.retryable && j.restore == nil && !f.cfg.DisableRetry {
+	if out.res == nil && out.retryable && j.restore == nil {
 		if demoted, drung, ok := demote(f.cfg.Engine); ok {
 			retried = true
 			firstErr = out.err.Error()
@@ -877,12 +861,6 @@ func (f *Farm) attempt(j *job, vm *vmSlot, n int, engCfg cms.Config, rung string
 
 	cfg := engCfg
 	cfg.SharedStore = f.store
-	if spec.Backend != "" {
-		// Per-job backend override. Demotion is orthogonal: a demoted
-		// (nocompile/interp) retry keeps the tag but builds no executable
-		// form, identically for either backend.
-		cfg.Backend = spec.Backend
-	}
 
 	sched := incident.Schedule(spec.InjectSeed, spec.ChaosPanics)
 	if sched != nil {
@@ -1046,7 +1024,7 @@ func (f *Farm) writeIncident(j *job, n int, rung, kind, errMsg, stack string,
 		ArchSHA:     incident.StateHash(e, plat),
 		ImageSHA:    imageSHA,
 		Snapshot:    j.restoreBlob,
-		Engine:      incident.FromCMS(cfg),
+		Engine:      cfg,
 	}
 	path := filepath.Join(f.cfg.IncidentDir, fmt.Sprintf("%s-a%d.json", j.id, n))
 	if err := b.Write(path); err != nil {

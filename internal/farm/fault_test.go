@@ -116,26 +116,6 @@ func TestRetryDemotesToInterp(t *testing.T) {
 	}
 }
 
-// TestDisableRetry pins the opt-out: with retries off a panicked job reports
-// its first attempt's outcome directly.
-func TestDisableRetry(t *testing.T) {
-	eng := cms.DefaultConfig()
-	eng.EnableCompiledBackend = false
-	f := New(Config{MaxVMs: 1, Engine: eng, DisableRetry: true, BreakerWindow: -1})
-	v, err := f.Submit(JobSpec{Source: testSource, InjectSeed: 7, ChaosPanics: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Drain()
-	got, _ := f.Job(v.ID)
-	if got.Status != StatusFailed {
-		t.Fatalf("status = %s, want failed with retries disabled", got.Status)
-	}
-	if st := f.Stats(); st.Retries != 0 {
-		t.Errorf("retries = %d, want 0", st.Retries)
-	}
-}
-
 // TestWatchdogDeadline expires a wall-clock deadline in the middle of
 // translated execution: the engine must stop cooperatively at a committed
 // boundary, the job must finish as StatusTimeout (terminal — no retry, the
@@ -187,7 +167,7 @@ func TestWatchdogDeadline(t *testing.T) {
 // with ErrBreakerOpen while probe admissions slip through, and the first
 // probe that succeeds closes the breaker and restores normal admission.
 func TestBreakerOpensShedsAndCloses(t *testing.T) {
-	f := New(Config{MaxVMs: 1, QueueDepth: 16, BreakerWindow: 4, DisableRetry: true})
+	f := New(Config{MaxVMs: 1, QueueDepth: 16, BreakerWindow: 4})
 	defer f.Drain()
 	for i := 0; i < 4; i++ {
 		if _, err := f.Submit(JobSpec{Source: "not a program"}); err != nil {

@@ -79,7 +79,7 @@ func WriteMetrics(w io.Writer, f *Farm) {
 	counter("cms_farm_store_waits_total", "Shared-store lookups that joined an in-flight translation.", st.Store.Waits)
 	counter("cms_farm_store_misses_total", "Shared-store lookups that ran the translator.", st.Store.Misses)
 	counter("cms_farm_store_evictions_total", "Artifacts evicted from the shared store.", st.Store.Evictions)
-	counter("cms_farm_store_poisons_total", "Content keys quarantined after a panic or rollback storm.", st.Store.Poisons)
+	counter("cms_farm_store_poisons_total", "Content keys quarantined after a host panic.", st.Store.Poisons)
 	counter("cms_farm_store_poison_hits_total", "Translation requests bypassing the store on a poisoned key.", st.Store.PoisonHits)
 	gauge("cms_farm_store_poisoned_keys", "Content keys currently quarantined.", st.Store.Poisoned)
 	gauge("cms_farm_store_entries", "Artifacts resident in the shared store.", st.Store.Entries)

@@ -394,7 +394,7 @@ func TestRecycledVMCanary(t *testing.T) {
 // address is beyond RAM, which used to take the whole process down from
 // outside the recover.
 func TestHostileDMAJobContained(t *testing.T) {
-	f := New(Config{MaxVMs: 1, Engine: cms.DefaultConfig(), BreakerWindow: 4, DisableRetry: true})
+	f := New(Config{MaxVMs: 1, Engine: cms.DefaultConfig(), BreakerWindow: 4})
 	var ids []string
 	for i := 0; i < 4; i++ {
 		v, err := f.Submit(JobSpec{Source: hostileDMASource})

@@ -54,76 +54,6 @@ const (
 	KindError   = "error"
 )
 
-// EngineConfig is the JSON-serializable subset of cms.Config a farm engine
-// runs with. BasePolicy and Host are not captured: farm engines always run
-// the zero (default) values for both, and the serving API exposes no way to
-// set them. Zero numeric fields re-normalize to the same defaults at replay
-// that they did in the farm.
-type EngineConfig struct {
-	HotThreshold           uint64 `json:"hot_threshold,omitempty"`
-	FaultThreshold         uint32 `json:"fault_threshold,omitempty"`
-	LookupCost             uint64 `json:"lookup_cost,omitempty"`
-	TranslateCostPerInsn   uint64 `json:"translate_cost_per_insn,omitempty"`
-	EnableFineGrain        bool   `json:"enable_fine_grain,omitempty"`
-	EnableSelfReval        bool   `json:"enable_self_reval,omitempty"`
-	EnableStylized         bool   `json:"enable_stylized,omitempty"`
-	EnableGroups           bool   `json:"enable_groups,omitempty"`
-	EnableCompiledBackend  bool   `json:"enable_compiled_backend,omitempty"`
-	Backend                string `json:"backend,omitempty"`
-	EnableChaining         bool   `json:"enable_chaining,omitempty"`
-	NoTranslate            bool   `json:"no_translate,omitempty"`
-	TCacheCapAtoms         int    `json:"tcache_cap_atoms,omitempty"`
-	IndTCHitCost           uint64 `json:"ind_tc_hit_cost,omitempty"`
-	CancelQuantum          uint64 `json:"cancel_quantum,omitempty"`
-	RollbackStormThreshold uint32 `json:"rollback_storm_threshold,omitempty"`
-}
-
-// FromCMS captures the replay-relevant fields of an engine configuration.
-func FromCMS(c cms.Config) EngineConfig {
-	return EngineConfig{
-		HotThreshold:           c.HotThreshold,
-		FaultThreshold:         c.FaultThreshold,
-		LookupCost:             c.LookupCost,
-		TranslateCostPerInsn:   c.TranslateCostPerInsn,
-		EnableFineGrain:        c.EnableFineGrain,
-		EnableSelfReval:        c.EnableSelfReval,
-		EnableStylized:         c.EnableStylized,
-		EnableGroups:           c.EnableGroups,
-		EnableCompiledBackend:  c.EnableCompiledBackend,
-		Backend:                c.Backend,
-		EnableChaining:         c.EnableChaining,
-		NoTranslate:            c.NoTranslate,
-		TCacheCapAtoms:         c.TCacheCapAtoms,
-		IndTCHitCost:           c.IndTCHitCost,
-		CancelQuantum:          c.CancelQuantum,
-		RollbackStormThreshold: c.RollbackStormThreshold,
-	}
-}
-
-// ToCMS rebuilds a cms.Config for solo replay. The farm-only hooks (shared
-// store, cancel, poison TTL) stay nil/zero: the store and wall clock are
-// outside the determinism contract, so replay does not need them.
-func (ec EngineConfig) ToCMS() cms.Config {
-	return cms.Config{
-		HotThreshold:           ec.HotThreshold,
-		FaultThreshold:         ec.FaultThreshold,
-		LookupCost:             ec.LookupCost,
-		TranslateCostPerInsn:   ec.TranslateCostPerInsn,
-		EnableFineGrain:        ec.EnableFineGrain,
-		EnableSelfReval:        ec.EnableSelfReval,
-		EnableStylized:         ec.EnableStylized,
-		EnableGroups:           ec.EnableGroups,
-		EnableCompiledBackend:  ec.EnableCompiledBackend,
-		Backend:                ec.Backend,
-		EnableChaining:         ec.EnableChaining,
-		NoTranslate:            ec.NoTranslate,
-		TCacheCapAtoms:         ec.TCacheCapAtoms,
-		IndTCHitCost:           ec.IndTCHitCost,
-		CancelQuantum:          ec.CancelQuantum,
-		RollbackStormThreshold: ec.RollbackStormThreshold,
-	}
-}
-
 // Bundle is one captured failure. Bundles are plain JSON files whose first
 // byte is '{' — that is how cmsfuzz tells them apart from the fuzzer's text
 // reproducers on the same -replay flag.
@@ -173,7 +103,10 @@ type Bundle struct {
 	// either way: both count cumulative retirement from the original boot.
 	Snapshot []byte `json:"snapshot,omitempty"`
 
-	Engine EngineConfig `json:"engine"`
+	// Engine is the failing attempt's engine configuration; replay runs
+	// without the farm's shared store, which is outside the determinism
+	// contract.
+	Engine cms.Config `json:"engine"`
 }
 
 // StateHash digests everything the guest can observe — registers, EIP,
@@ -320,7 +253,7 @@ func Schedule(seed uint64, chaosPanics bool) *fuzzer.Schedule {
 // (panics and errors), and same architectural state hash. It returns nil
 // when the incident reproduced and a descriptive error otherwise.
 func Replay(b *Bundle) error {
-	cfg := b.Engine.ToCMS()
+	cfg := b.Engine
 	sched := Schedule(b.InjectSeed, b.ChaosPanics)
 	if sched != nil {
 		cfg.Injector = sched

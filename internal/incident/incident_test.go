@@ -5,6 +5,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"cms/internal/cms"
@@ -24,7 +26,9 @@ loop:
 `
 
 // captureBundle runs one chaos job through a single-VM farm and returns its
-// first incident bundle — the same production path cmsserve exercises.
+// first attempt's incident bundle — the same production path cmsserve
+// exercises. The job's retry on the next rung down may fail again or
+// succeed; either way the first attempt panicked and left a0.
 func captureBundle(t *testing.T) (string, *incident.Bundle) {
 	t.Helper()
 	dir := t.TempDir()
@@ -32,7 +36,6 @@ func captureBundle(t *testing.T) (string, *incident.Bundle) {
 		MaxVMs:        1,
 		Engine:        cms.DefaultConfig(),
 		IncidentDir:   dir,
-		DisableRetry:  true,
 		BreakerWindow: -1,
 	})
 	v, err := f.Submit(farm.JobSpec{Source: chaosSource, InjectSeed: 11, ChaosPanics: true})
@@ -41,8 +44,8 @@ func captureBundle(t *testing.T) (string, *incident.Bundle) {
 	}
 	f.Drain()
 	got, _ := f.Job(v.ID)
-	if got.Status != farm.StatusFailed || len(got.Incidents) != 1 {
-		t.Fatalf("chaos job = %s with incidents %v, want one failed attempt", got.Status, got.Incidents)
+	if len(got.Incidents) == 0 || !strings.HasSuffix(got.Incidents[0], "-a0.json") {
+		t.Fatalf("chaos job = %s with incidents %v, want a failed first attempt", got.Status, got.Incidents)
 	}
 	b, err := incident.Load(got.Incidents[0])
 	if err != nil {
@@ -144,17 +147,117 @@ func TestIsBundleDistinguishesText(t *testing.T) {
 	}
 }
 
-// TestEngineConfigRoundTrip checks the captured engine-config subset
-// survives JSON-shape conversion unchanged — the replay must run the exact
-// configuration the failing attempt did.
-func TestEngineConfigRoundTrip(t *testing.T) {
-	cfg := cms.DefaultConfig()
-	cfg.EnableChaining = false
-	cfg.RollbackStormThreshold = 9
-	cfg.NoTranslate = false
-	cfg.CancelQuantum = 1024
-	got := incident.FromCMS(incident.FromCMS(cfg).ToCMS())
-	if got != incident.FromCMS(cfg) {
-		t.Errorf("round trip changed the config: %+v vs %+v", got, incident.FromCMS(cfg))
+// roundTrip writes a bundle carrying cfg and loads it back: the path an
+// engine configuration takes from a failing farm attempt to its replay.
+func roundTrip(t *testing.T, cfg cms.Config) cms.Config {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "bundle.json")
+	if err := (&incident.Bundle{Kind: incident.KindError, Engine: cfg}).Write(path); err != nil {
+		t.Fatal(err)
+	}
+	b, err := incident.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.Engine
+}
+
+// fill sets v, and every field of a struct v, to a non-zero value.
+func fill(t *testing.T, v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(7)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(7)
+	case reflect.String:
+		v.SetString("x")
+	case reflect.Map:
+		m := reflect.MakeMap(v.Type())
+		key, elem := reflect.New(v.Type().Key()).Elem(), reflect.New(v.Type().Elem()).Elem()
+		fill(t, key)
+		fill(t, elem)
+		m.SetMapIndex(key, elem)
+		v.Set(m)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fill(t, v.Field(i))
+		}
+	default:
+		t.Fatalf("no non-zero value for a %s", v.Type())
+	}
+}
+
+// TestEngineConfigSerialized: a replay must run the exact configuration the
+// failing attempt did, so every cms.Config field survives a bundle round
+// trip at a non-zero value — or is one of the host hooks a replay supplies
+// itself (json:"-" on a func, pointer or interface).
+func TestEngineConfigSerialized(t *testing.T) {
+	typ := reflect.TypeOf(cms.Config{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.Tag.Get("json") == "-" {
+			switch f.Type.Kind() {
+			case reflect.Func, reflect.Pointer, reflect.Interface:
+			default:
+				t.Errorf("%s is left out of bundles but is a %s, not a host hook", f.Name, f.Type)
+			}
+			continue
+		}
+		var cfg cms.Config
+		fill(t, reflect.ValueOf(&cfg).Elem().Field(i))
+		got := roundTrip(t, cfg)
+		if want, got := reflect.ValueOf(cfg).Field(i).Interface(), reflect.ValueOf(got).Field(i).Interface(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: round trip gave %+v, want %+v", f.Name, got, want)
+		}
+	}
+}
+
+// TestLoadsEarlierEngineFormat: a bundle written before the engine object
+// was cms.Config's own JSON form — all sixteen keys, the retired
+// rollback_storm_threshold included — loads to the same configuration.
+func TestLoadsEarlierEngineFormat(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.json")
+	old := `{"version":1,"job":"j1","attempt":0,"rung":"full","kind":"error","error":"e","budget":1000,"arch_sha":"",
+"engine":{"hot_threshold":40,"fault_threshold":3,"lookup_cost":11,"translate_cost_per_insn":140,
+"enable_fine_grain":true,"enable_self_reval":true,"enable_stylized":true,"enable_groups":true,
+"enable_compiled_backend":true,"backend":"risc","enable_chaining":true,"no_translate":true,
+"tcache_cap_atoms":4096,"ind_tc_hit_cost":3,"cancel_quantum":1024,"rollback_storm_threshold":16}}`
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	b, err := incident.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := cms.Config{
+		HotThreshold: 40, FaultThreshold: 3, LookupCost: 11, TranslateCostPerInsn: 140,
+		EnableFineGrain: true, EnableSelfReval: true, EnableStylized: true, EnableGroups: true,
+		EnableCompiledBackend: true, Backend: "risc", EnableChaining: true, NoTranslate: true,
+		TCacheCapAtoms: 4096, IndTCHitCost: 3, CancelQuantum: 1024,
+	}
+	if !reflect.DeepEqual(b.Engine, want) {
+		t.Errorf("loaded %+v, want %+v", b.Engine, want)
+	}
+}
+
+// TestDefaultEngineBytes pins the engine object a farm running the default
+// configuration writes: the zero policy and host are left out, and the
+// bytes are the ones bundles have always carried.
+func TestDefaultEngineBytes(t *testing.T) {
+	raw, err := json.Marshal(incident.Bundle{Engine: cms.DefaultConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &b); err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"hot_threshold":50,"fault_threshold":2,"lookup_cost":12,"translate_cost_per_insn":150,` +
+		`"enable_fine_grain":true,"enable_self_reval":true,"enable_stylized":true,"enable_groups":true,` +
+		`"enable_compiled_backend":true,"enable_chaining":true}`
+	if got := string(b["engine"]); got != want {
+		t.Errorf("engine object\n got %s\nwant %s", got, want)
 	}
 }

@@ -66,7 +66,7 @@ func (kh *keyHasher) addrs(addrs []uint32) {
 //   - the code-gen backend tag. Only a non-vliw backend writes bytes, so
 //     vliw keys are identical to pre-backend-tag keys — existing snapshots
 //     and stores stay addressable — while risc-built artifacts can never
-//     dedup onto vliw ones (or vice versa) in a mixed-backend farm.
+//     dedup onto vliw ones (or vice versa) in a store both backends use.
 //
 // Anything not covered here must never influence Request.Translate.
 func (req *Request) Key() Key {

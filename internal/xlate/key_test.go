@@ -105,6 +105,30 @@ loop:
 	}
 }
 
+// TestKeyBackendTag: engines on different code-gen backends may share one
+// store, so a risc request never keys like a vliw one; and "vliw" keys
+// exactly like the empty tag, so keys from before the tag existed — and the
+// snapshots and stores holding them — stay valid.
+func TestKeyBackendTag(t *testing.T) {
+	keyFor := func(backend string) Key {
+		tr, entry := keyTestTranslator(t, keyTestSrc)
+		tr.CompileBackend = true
+		tr.Backend = backend
+		req, err := tr.Prepare(entry, Policy{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return req.Key()
+	}
+	untagged := keyFor("")
+	if keyFor(BackendVLIW) != untagged {
+		t.Error("a vliw request keys unlike an untagged one")
+	}
+	if keyFor(BackendRISC) == untagged {
+		t.Error("a risc request keys like a vliw one")
+	}
+}
+
 // TestKeyedTranslationsIdentical is the sharing contract: equal keys must
 // yield translations with identical code, so a farm may serve one VM's
 // translation to another.

@@ -24,13 +24,12 @@ go test -race ./...
 # above: the backend differential (identical state, Metrics and cache
 # statistics on every workload, executed interpretively, through the vliw
 # step arrays and through the risc register IR — plus its mutation test),
-# internal/bench importing no clock, the farm differentials
-# (solo and in-farm runs byte-identical over the shared store, including
-# mixed vliw/risc farms), the shared-store torture test, the
-# fault-containment chaos capstone, and the translator's three (below). Running them again by
-# name bought nothing; what the by-name lines guarded against is a contract
-# being renamed away or dropped, and a -list check catches that without
-# executing anything.
+# internal/bench importing no clock, the farm differentials (solo and
+# in-farm runs byte-identical over the shared store), the shared-store
+# torture test, the fault-containment chaos capstone, and the translator's
+# three (below). Running them again by name bought nothing; what the by-name
+# lines guarded against is a contract being renamed away or dropped, and a
+# -list check catches that without executing anything.
 require_tests() {
 	pkg=$1
 	shift
@@ -42,8 +41,8 @@ require_tests() {
 		fi
 	done
 }
-require_tests ./internal/farm/ TestFarmDifferential TestFarmMixedBackendDifferential \
-	TestChaosServing TestRecycledVMDifferential TestRecycledVMCanary
+require_tests ./internal/farm/ TestFarmDifferential TestChaosServing \
+	TestRecycledVMDifferential TestRecycledVMCanary
 require_tests ./internal/tcache/ TestSharedStoreTorture TestSharedStoreBudgetIsGlobal
 require_tests ./internal/bench/ TestBackendDifferential \
 	TestBackendDifferentialCatchesWrongCarry TestBenchIsClockFree
@@ -76,9 +75,10 @@ require_tests ./internal/cms/ TestConstructionAllocCeiling TestTranslationAddsNo
 require_tests ./internal/vliw/ TestStoreBufferModel TestCompiledEveryRunEntry \
 	TestCompileAllocCeiling
 # The serving daemon, in-process through main's serve path: migration, the
-# chaos incident round trip, both drain modes, and a lossy drain failing.
+# chaos incident round trip, both drain modes, a lossy drain failing, and the
+# production defaults running the suite without poisoning a shared key.
 require_tests ./cmd/cmsserve/ TestMigrate TestChaosIncidentReplays TestDrain \
-	TestCheckpointDrain TestCheckpointDrainLostJobsFail
+	TestCheckpointDrain TestCheckpointDrainLostJobsFail TestDefaultDaemonPoisonsNothing
 
 # The bus word paths translated code calls per access must stay inlinable:
 # a page's first-write allocation lives out of line for that reason, and a
