@@ -189,8 +189,9 @@ func (e *Engine) pollCancel() bool {
 // step interprets one instruction boundary: the engine's one call of
 // Interp.Step, with every charge around it. A protection hit is resolved
 // here (the instruction or delivery re-executes on the next step), so no
-// caller can leave one pending.
-func (e *Engine) step() interp.Result {
+// caller can leave one pending. The Result is the interpreter's, valid
+// until the next step.
+func (e *Engine) step() *interp.Result {
 	res := e.Interp.Step()
 	e.Metrics.MolsInterp += res.Cost
 	switch res.Stop {

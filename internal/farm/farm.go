@@ -960,7 +960,7 @@ func (f *Farm) attempt(j *job, vm *vmSlot, n int, engCfg cms.Config, rung string
 		// Contain the blast radius: quarantine the shared artifact that was
 		// executing (best single suspect) so other VMs stop importing it.
 		if key, ok := e.ImplicatedKey(); ok {
-			f.store.Poison(key, 0)
+			f.store.Poison(key)
 		}
 		return fail(incident.KindPanic, fmt.Sprintf("panic: %v", panicVal), true)
 	case errors.Is(runErr, cms.ErrCancelled) && j.checkpoint.Load():

@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"fmt"
 	"io"
 	"strings"
 	"sync"
@@ -259,11 +260,17 @@ func TestWriteMetrics(t *testing.T) {
 	var sb strings.Builder
 	WriteMetrics(&sb, f)
 	out := sb.String()
+	st := f.Stats().Store
+	if st.Promotions == 0 {
+		t.Error("the second job's hits promoted nothing")
+	}
 	for _, want := range []string{
 		"cms_farm_vms 1",
 		"cms_farm_jobs_done_total 2",
 		"cms_farm_store_hits_total",
 		"cms_farm_store_dedup_ratio",
+		fmt.Sprintf("cms_farm_store_promotions_total %d", st.Promotions),
+		fmt.Sprintf("cms_farm_store_ghost_admits_total %d", st.GhostAdmits),
 		`cms_farm_job_store_hits_total{job="job-000002",workload="eqntott"}`,
 	} {
 		if !strings.Contains(out, want) {

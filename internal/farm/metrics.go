@@ -78,7 +78,9 @@ func WriteMetrics(w io.Writer, f *Farm) {
 	counter("cms_farm_store_hits_total", "Shared-store lookups served from an installed artifact.", st.Store.Hits)
 	counter("cms_farm_store_waits_total", "Shared-store lookups that joined an in-flight translation.", st.Store.Waits)
 	counter("cms_farm_store_misses_total", "Shared-store lookups that ran the translator.", st.Store.Misses)
-	counter("cms_farm_store_evictions_total", "Artifacts evicted from the shared store.", st.Store.Evictions)
+	counter("cms_farm_store_evictions_total", "Artifacts evicted from the shared store, on probation or in the LRU.", st.Store.Evictions)
+	counter("cms_farm_store_promotions_total", "Artifacts admitted from probation to the LRU by a second request.", st.Store.Promotions)
+	counter("cms_farm_store_ghost_admits_total", "Misses admitted straight to the LRU because probation had dropped their key.", st.Store.GhostAdmits)
 	counter("cms_farm_store_poisons_total", "Content keys quarantined after a host panic.", st.Store.Poisons)
 	counter("cms_farm_store_poison_hits_total", "Translation requests bypassing the store on a poisoned key.", st.Store.PoisonHits)
 	gauge("cms_farm_store_poisoned_keys", "Content keys currently quarantined.", st.Store.Poisoned)

@@ -31,6 +31,7 @@ const icacheSize = 1 << icacheBits
 
 type icEntry struct {
 	addr uint32 // guest EIP this slot holds (valid only if filled)
+	cost uint32 // Cost(in), computed at fill; sits in addr's padding
 	gen  uint64 // fill-time generation of the first byte's page
 	gen2 uint64 // fill-time generation of the last byte's page
 	in   guest.Insn
@@ -45,25 +46,26 @@ type icache struct {
 	Misses uint64
 }
 
-// lookup returns the cached decode of eip, if still valid.
-func (c *icache) lookup(bus *mem.Bus, eip uint32) (guest.Insn, bool) {
+// lookup returns eip's slot if it holds a still-valid decode, else nil.
+func (c *icache) lookup(bus *mem.Bus, eip uint32) *icEntry {
 	e := &c.slots[eip&(icacheSize-1)]
 	if e.ok && e.addr == eip {
 		first := mem.PageOf(eip)
 		last := mem.PageOf(eip + e.in.Len - 1)
 		if bus.Gen(first) == e.gen && (first == last || bus.Gen(last) == e.gen2) {
 			c.Hits++
-			return e.in, true
+			return e
 		}
 	}
 	c.Misses++
-	return guest.Insn{}, false
+	return nil
 }
 
-// fill records a successful decode.
-func (c *icache) fill(bus *mem.Bus, in guest.Insn) {
+// fill records a successful decode and returns its slot.
+func (c *icache) fill(bus *mem.Bus, in guest.Insn) *icEntry {
 	e := &c.slots[in.Addr&(icacheSize-1)]
 	first := mem.PageOf(in.Addr)
 	last := mem.PageOf(in.Addr + in.Len - 1)
-	*e = icEntry{addr: in.Addr, gen: bus.Gen(first), gen2: bus.Gen(last), in: in, ok: true}
+	*e = icEntry{addr: in.Addr, cost: uint32(Cost(in)), gen: bus.Gen(first), gen2: bus.Gen(last), in: in, ok: true}
+	return e
 }

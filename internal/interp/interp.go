@@ -50,7 +50,10 @@ const (
 	StopError
 )
 
-// Result reports the outcome of one Step.
+// Result reports the outcome of one Step. Step fills one Result the
+// interpreter owns and returns a pointer to it, valid until the next Step or
+// Run: handing a caller the struct by value cost a wide stack copy of fields
+// just stored, which stalls on store-to-load forwarding on every step.
 type Result struct {
 	Stop StopKind
 	// Prot is set for StopProt.
@@ -137,6 +140,7 @@ type Interp struct {
 
 	fetchBuf [maxInsnLen]byte
 	ic       icache
+	res      Result
 }
 
 // ICacheStats reports the decoded-instruction cache's lookup counters.
@@ -171,16 +175,19 @@ type intRequest struct {
 
 // Step executes one instruction boundary: delivers a pending interrupt if
 // IF allows, else decodes and executes one instruction, delivering any
-// exception it raises.
-func (ip *Interp) Step() Result {
+// exception it raises. The Result is the interpreter's own, overwritten by
+// the next call.
+func (ip *Interp) Step() *Result {
+	res := &ip.res
 	if ip.CPU.Halted {
-		return Result{Stop: StopHalt, Vector: -1}
+		*res = Result{Stop: StopHalt, Vector: -1}
+		return res
 	}
 	// Interrupt window: boundaries only, IF set.
 	if ip.IRQ != nil && ip.CPU.Flags&guest.FlagIF != 0 {
 		if line, ok := ip.IRQ.Pending(); ok {
 			vec := guest.VecIRQBase + line
-			res := ip.deliver(vec, ip.CPU.EIP)
+			ip.deliver(vec, ip.CPU.EIP)
 			if res.Stop == StopNone {
 				ip.IRQ.Ack(line)
 				res.IRQ = true
@@ -192,33 +199,32 @@ func (ip *Interp) Step() Result {
 		}
 	}
 
-	in, ff := ip.fetchDecode()
+	slot, ff := ip.fetchDecode()
 	if ff != nil {
-		return ip.deliverAndCount(ff.vec, ip.CPU.EIP)
+		ip.deliverAndCount(ff.vec, ip.CPU.EIP)
+		return res
 	}
 
-	switch out := ip.exec(in).(type) {
+	switch out := ip.exec(slot.in).(type) {
 	case nil:
 		ip.retire()
-		return Result{Retired: true, Vector: -1, Cost: Cost(in)}
+		*res = Result{Retired: true, Vector: -1, Cost: uint64(slot.cost)}
 	case guestFault:
-		res := ip.deliverAndCount(out.vec, in.Addr)
-		res.Cost = Cost(in) + DeliveryCost
-		return res
+		ip.deliverAndCount(out.vec, slot.in.Addr)
+		res.Cost = uint64(slot.cost) + DeliveryCost
 	case protStop:
-		return Result{Stop: StopProt, Prot: out.hit, Vector: -1, Cost: costBase}
+		*res = Result{Stop: StopProt, Prot: out.hit, Vector: -1, Cost: costBase}
 	case intRequest:
-		res := ip.deliverAndCount(out.vec, in.Next())
-		if res.Stop != StopNone {
-			return res
+		ip.deliverAndCount(out.vec, slot.in.Next())
+		if res.Stop == StopNone {
+			ip.retire()
+			res.Retired = true
+			res.Cost = uint64(slot.cost) + DeliveryCost
 		}
-		ip.retire()
-		res.Retired = true
-		res.Cost = Cost(in) + DeliveryCost
-		return res
 	default:
 		panic("interp: impossible exec outcome")
 	}
+	return res
 }
 
 func (ip *Interp) retire() {
@@ -228,41 +234,44 @@ func (ip *Interp) retire() {
 	}
 }
 
-func (ip *Interp) deliverAndCount(vec int, retEIP uint32) Result {
-	res := ip.deliver(vec, retEIP)
-	if res.Stop == StopNone {
-		res.Vector = vec
+func (ip *Interp) deliverAndCount(vec int, retEIP uint32) {
+	ip.deliver(vec, retEIP)
+	if ip.res.Stop == StopNone {
+		ip.res.Vector = vec
 		ip.Delivered++
 	}
-	return res
 }
 
-// deliver pushes Flags and retEIP, clears IF, and vectors through the IVT.
-// It mutates no state on failure.
-func (ip *Interp) deliver(vec int, retEIP uint32) Result {
+// deliver pushes Flags and retEIP, clears IF, and vectors through the IVT,
+// writing the outcome to ip.res. It mutates no guest state on failure.
+func (ip *Interp) deliver(vec int, retEIP uint32) {
 	entry := guest.IVTBase + 4*uint32(vec)
 	if f := ip.Bus.CheckRead(entry, 4); f != nil {
 		ip.CPU.Halted = true
-		return Result{Stop: StopError, Err: fmt.Errorf("interp: IVT unreadable for vector %d: %w", vec, f), Vector: vec}
+		ip.res = Result{Stop: StopError, Err: fmt.Errorf("interp: IVT unreadable for vector %d: %w", vec, f), Vector: vec}
+		return
 	}
 	handler := ip.Bus.Read32(entry)
 	if handler == 0 {
 		ip.CPU.Halted = true
-		return Result{Stop: StopError, Err: fmt.Errorf("interp: unhandled exception vector %d at eip %#x", vec, retEIP), Vector: vec}
+		ip.res = Result{Stop: StopError, Err: fmt.Errorf("interp: unhandled exception vector %d at eip %#x", vec, retEIP), Vector: vec}
+		return
 	}
 	sp := ip.CPU.Regs[guest.ESP]
 	a1, a2 := sp-4, sp-8
 	for _, a := range []uint32{a1, a2} {
 		if f := ip.Bus.CheckWrite(a, 4); f != nil {
 			ip.CPU.Halted = true
-			return Result{Stop: StopError, Err: fmt.Errorf("interp: double fault: stack push failed delivering vector %d: %w", vec, f), Vector: vec}
+			ip.res = Result{Stop: StopError, Err: fmt.Errorf("interp: double fault: stack push failed delivering vector %d: %w", vec, f), Vector: vec}
+			return
 		}
 	}
 	if ip.CheckProt {
 		if hit := ip.Bus.CheckProt(a2, 8, mem.SrcCPU); hit != nil {
 			// Deliverable only after the caller resolves protection; nothing
 			// has changed, so the trigger re-occurs on re-execution.
-			return Result{Stop: StopProt, Prot: hit, Vector: -1}
+			ip.res = Result{Stop: StopProt, Prot: hit, Vector: -1}
+			return
 		}
 	}
 	ip.Bus.Write32(a1, ip.CPU.Flags)
@@ -273,32 +282,32 @@ func (ip *Interp) deliver(vec int, retEIP uint32) Result {
 	if ip.Prof != nil {
 		ip.Prof.Heads[handler]++
 	}
-	return Result{Vector: vec}
+	ip.res = Result{Vector: vec}
 }
 
 // fetchDecode fetches and decodes the instruction at EIP, consulting the
 // decoded-instruction cache first. Cache validity is tied to the bus's
 // per-page modification generations, so any write to the underlying bytes
-// (SMC store, DMA, raw load) or mapping change forces a fresh decode.
-func (ip *Interp) fetchDecode() (guest.Insn, *guestFault) {
-	if in, ok := ip.ic.lookup(ip.Bus, ip.CPU.EIP); ok {
-		return in, nil
+// (SMC store, DMA, raw load) or mapping change forces a fresh decode. The
+// returned slot stays valid until the next fetchDecode.
+func (ip *Interp) fetchDecode() (*icEntry, *guestFault) {
+	if slot := ip.ic.lookup(ip.Bus, ip.CPU.EIP); slot != nil {
+		return slot, nil
 	}
 	n := ip.Bus.FetchBytes(ip.CPU.EIP, ip.fetchBuf[:])
 	if n == 0 {
-		return guest.Insn{}, &guestFault{vec: guest.VecNP}
+		return nil, &guestFault{vec: guest.VecNP}
 	}
 	in, err := guest.Decode(ip.fetchBuf[:n], ip.CPU.EIP)
 	if err != nil {
 		// Distinguish "runs off a mapped page" (#NP) from garbage (#UD).
 		op := guest.Op(ip.fetchBuf[0])
 		if n < maxInsnLen && op.Valid() && guest.EncodedLen(op) > uint32(n) {
-			return guest.Insn{}, &guestFault{vec: guest.VecNP}
+			return nil, &guestFault{vec: guest.VecNP}
 		}
-		return guest.Insn{}, &guestFault{vec: guest.VecUD}
+		return nil, &guestFault{vec: guest.VecUD}
 	}
-	ip.ic.fill(ip.Bus, in)
-	return in, nil
+	return ip.ic.fill(ip.Bus, in), nil
 }
 
 // Run steps until a stop condition or the step limit. It returns the last
@@ -309,7 +318,7 @@ func (ip *Interp) Run(maxSteps uint64) (Result, uint64) {
 		res := ip.Step()
 		steps++
 		if res.Stop != StopNone {
-			return res, steps
+			return *res, steps
 		}
 	}
 	return Result{}, steps

@@ -379,7 +379,7 @@ func TestProtStopLeavesStateUnchanged(t *testing.T) {
 `)
 	ip.CheckProt = true
 	plat.Bus.Protect(5)
-	var res Result
+	var res *Result
 	for i := 0; i < 10; i++ {
 		res = ip.Step()
 		if res.Stop == StopProt {

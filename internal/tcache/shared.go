@@ -1,10 +1,8 @@
 package tcache
 
 import (
-	"bytes"
 	"container/list"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,24 +27,37 @@ import (
 // it charges the same simulated translation cost either way, so per-VM
 // Metrics and final guest state are bit-identical to a solo run.
 //
-// Concurrency model: one mutex guards the entry map, the LRU list, the
-// in-flight table, the poison map and the atom budget. The SHA-256 content
-// key — most of a lookup's cost — is computed before the lock is taken, and
-// a hit holds the lock only for the map probe and the LRU touch. Event
-// counters are atomics, so counting never extends a critical section.
+// Concurrency model: one mutex guards the entry map, both segments, the
+// ghost ring, the in-flight table, the poison map and the atom budget. The
+// SHA-256 content key — most of a lookup's cost — is computed before the
+// lock is taken, and a hit holds the lock only for the map probe and the
+// LRU touch. Event counters are atomics, so counting never extends a
+// critical section.
 //
 // Concurrent misses on the same key are single-flighted: the first VM
 // translates, later VMs wait for its result rather than duplicating the
-// work. Capacity is bounded in atoms; insertion evicts least-recently-used
-// entries (a wall-clock-only decision — an evicted region simply translates
-// again on its next miss).
+// work.
+//
+// Admission (after S3-FIFO's small and ghost queues, Yang et al., SOSP
+// 2023): a translation repays its memory only when its region runs again, so
+// an artifact outlives a short probation only if it is requested a second
+// time. A first miss lands in a probation FIFO of probationCap artifacts. A
+// hit there, or a translation other VMs waited on, promotes the artifact to
+// the LRU. When the FIFO overflows, its oldest artifact is dropped and its
+// key kept in a ghost ring of ghostCap keys; a later miss on a ghost key
+// enters the LRU directly. Capacity is one atom budget over both segments;
+// over budget, probation's oldest artifacts go first, then the LRU's. Every
+// one of these decisions is wall-clock-only: a dropped region simply
+// translates again on its next miss.
 type SharedStore struct {
-	hits       atomic.Uint64
-	waits      atomic.Uint64
-	misses     atomic.Uint64
-	evictions  atomic.Uint64
-	poisons    atomic.Uint64
-	poisonHits atomic.Uint64
+	hits        atomic.Uint64
+	waits       atomic.Uint64
+	misses      atomic.Uint64
+	evictions   atomic.Uint64
+	promotions  atomic.Uint64
+	ghostAdmits atomic.Uint64
+	poisons     atomic.Uint64
+	poisonHits  atomic.Uint64
 
 	// Rehydration traffic: Translate calls made on behalf of a snapshot
 	// restore, counted separately so operators can see how much of a
@@ -54,44 +65,69 @@ type SharedStore struct {
 	rehydrateHits   atomic.Uint64
 	rehydrateMisses atomic.Uint64
 
-	mu       sync.Mutex
-	entries  map[xlate.Key]*sharedEntry
-	lru      *list.List // front = most recently used; values are *sharedEntry
-	inflight map[xlate.Key]*flight
+	mu sync.Mutex
+	// entries holds both segments; each entry's elem sits in lru or in
+	// probation, as its probation flag says.
+	entries   map[xlate.Key]*sharedEntry
+	lru       *list.List // front = most recently used; values are *sharedEntry
+	probation *list.List // front = newest first miss; values are *sharedEntry
+	inflight  map[xlate.Key]*flight
+	// ghost maps each key dropped from probation to its slot in ghostRing,
+	// which holds the last ghostCap of them in drop order; ghostNext is the
+	// oldest slot once the ring is full. A slot whose key has since been
+	// admitted, or dropped again into a newer slot, is stale.
+	ghost     map[xlate.Key]int
+	ghostRing []xlate.Key
+	ghostNext int
 	// poison quarantines keys until the stored deadline: lookups for a
 	// poisoned key bypass the cache AND the single-flight table, so every VM
 	// translates privately and a bad shared artifact cannot cascade. Expired
 	// deadlines are reaped lazily on lookup and in Stats.
-	poison   map[xlate.Key]time.Time
-	capAtoms int
-	curAtoms int
+	poison    map[xlate.Key]time.Time
+	poisonTTL time.Duration
+	capAtoms  int
+	curAtoms  int
 }
 
 // DefaultSharedCapAtoms is the default shared-store budget: a few VM-caches
 // worth of code, since the store backs many VMs at once.
 const DefaultSharedCapAtoms = 4 << 20
 
-// DefaultPoisonTTL is how long a poisoned key stays quarantined when the
-// caller does not choose a TTL. Long enough that a misbehaving artifact
-// cannot flap back into every VM, short enough that a transient host problem
-// (a since-fixed bug, a freak allocation failure) does not permanently
-// degrade a hot region to private translation.
-const DefaultPoisonTTL = 30 * time.Second
+// probationCap is how many first-miss artifacts wait for a second request.
+// On cmsperf's farm_mix (seed 1) each of the 182 shared keys was requested
+// again within 123 probation insertions of its first miss (p50 52, p99 113),
+// while one-off source jobs add about 320 artifacts a lap: 256 keeps the
+// first with room to spare and bounds the second.
+const probationCap = 256
+
+// ghostCap is how many keys dropped from probation are remembered, so a
+// region whose reuse distance outgrew the FIFO is admitted on its next miss.
+// A key costs about 50 bytes of ring and map.
+const ghostCap = 4096
+
+// poisonTTL is how long a poisoned key stays quarantined. Long enough that a
+// misbehaving artifact cannot flap back into every VM, short enough that a
+// transient host problem (a since-fixed bug, a freak allocation failure)
+// does not permanently degrade a hot region to private translation.
+const poisonTTL = 30 * time.Second
 
 type sharedEntry struct {
-	key   xlate.Key
-	t     *xlate.Translation
-	atoms int
-	elem  *list.Element
-	hits  uint64
+	key       xlate.Key
+	t         *xlate.Translation
+	atoms     int
+	elem      *list.Element
+	probation bool
 }
 
 // flight is one in-progress translation; later requesters for the same key
-// block on done instead of re-translating.
+// block on done instead of re-translating. waited, guarded by the store
+// lock, records that someone did, which is the second request that admits
+// the artifact to the LRU.
 type flight struct {
-	done chan struct{}
-	t    *xlate.Translation
-	err  error
+	done   chan struct{}
+	t      *xlate.Translation
+	err    error
+	waited bool
 }
 
 // SharedStats counts store events. Hits are immediate cache hits; Waits are
@@ -105,9 +141,16 @@ type SharedStats struct {
 	Hits      uint64
 	Waits     uint64
 	Misses    uint64
-	Evictions uint64
-	Entries   int
-	Atoms     int
+	Evictions uint64 // artifacts dropped from either segment
+	Entries   int    // artifacts resident, on probation or in the LRU
+	Atoms     int    // their code atoms, counted against the one budget
+
+	// Promotions counts artifacts admitted to the LRU by a second request
+	// (a probation hit, or a translation another VM waited on); GhostAdmits
+	// counts misses admitted straight to the LRU because probation had
+	// dropped their key.
+	Promotions  uint64
+	GhostAdmits uint64
 
 	// Poisons counts quarantine events (Poison calls plus backend panics
 	// converted in place); PoisonHits counts lookups that bypassed the cache
@@ -142,11 +185,14 @@ func NewShared(capAtoms int) *SharedStore {
 		capAtoms = DefaultSharedCapAtoms
 	}
 	return &SharedStore{
-		entries:  make(map[xlate.Key]*sharedEntry),
-		lru:      list.New(),
-		inflight: make(map[xlate.Key]*flight),
-		poison:   make(map[xlate.Key]time.Time),
-		capAtoms: capAtoms,
+		entries:   make(map[xlate.Key]*sharedEntry),
+		lru:       list.New(),
+		probation: list.New(),
+		inflight:  make(map[xlate.Key]*flight),
+		ghost:     make(map[xlate.Key]int),
+		poison:    make(map[xlate.Key]time.Time),
+		poisonTTL: poisonTTL,
+		capAtoms:  capAtoms,
 	}
 }
 
@@ -157,7 +203,7 @@ func NewShared(capAtoms int) *SharedStore {
 // the next requester retries.
 //
 // The SHA-256 key is computed outside the lock; a hit costs one mutex
-// acquisition for the LRU touch plus one atomic increment.
+// acquisition for the LRU touch (or the promotion) plus one atomic increment.
 func (s *SharedStore) Translate(req *xlate.Request) (t *xlate.Translation, hit bool, err error) {
 	key := req.Key()
 	s.mu.Lock()
@@ -174,13 +220,17 @@ func (s *SharedStore) Translate(req *xlate.Request) (t *xlate.Translation, hit b
 		delete(s.poison, key) // TTL expired: the key rejoins normal sharing
 	}
 	if e := s.entries[key]; e != nil {
-		e.hits++
-		s.lru.MoveToFront(e.elem)
+		if e.probation {
+			s.promote(e)
+		} else {
+			s.lru.MoveToFront(e.elem)
+		}
 		s.mu.Unlock()
 		s.hits.Add(1)
 		return e.t, true, nil
 	}
 	if f := s.inflight[key]; f != nil {
+		f.waited = true
 		s.mu.Unlock()
 		s.waits.Add(1)
 		<-f.done
@@ -198,7 +248,7 @@ func (s *SharedStore) Translate(req *xlate.Request) (t *xlate.Translation, hit b
 	if f.err == nil {
 		f.t.SharedKey = key
 		f.t.HasSharedKey = true
-		s.insert(key, f.t)
+		s.insert(key, f.t, f.waited)
 	}
 	s.mu.Unlock()
 	close(f.done)
@@ -213,17 +263,18 @@ func (s *SharedStore) Translate(req *xlate.Request) (t *xlate.Translation, hit b
 func (s *SharedStore) runBackend(key xlate.Key, req *xlate.Request) (t *xlate.Translation, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			s.Poison(key, DefaultPoisonTTL)
+			s.Poison(key)
 			t, err = nil, fmt.Errorf("tcache: translation backend panicked for key %s: %v", key, r)
 		}
 	}()
 	return req.Translate()
 }
 
-// Rehydrate is Translate for snapshot restore: identical semantics, but the
-// request is additionally counted in the rehydration counters so the warm
-// fraction of a restore is observable. Determinism is unaffected either way
-// — a hit hands back the byte-identical artifact a miss would rebuild.
+// Rehydrate is Translate for snapshot restore: identical semantics, the
+// admission policy included, but the request is additionally counted in the
+// rehydration counters so the warm fraction of a restore is observable.
+// Determinism is unaffected either way — a hit hands back the byte-identical
+// artifact a miss would rebuild.
 func (s *SharedStore) Rehydrate(req *xlate.Request) (t *xlate.Translation, hit bool, err error) {
 	t, hit, err = s.Translate(req)
 	if hit {
@@ -234,63 +285,103 @@ func (s *SharedStore) Rehydrate(req *xlate.Request) (t *xlate.Translation, hit b
 	return t, hit, err
 }
 
-// Keys returns a sorted snapshot of every resident content key. A migration
-// source sends this list ahead of the VM snapshot so the target can prewarm
-// its store (translate-or-fetch each key's region before the VM arrives);
-// sorted order makes the transfer deterministic.
-func (s *SharedStore) Keys() []xlate.Key {
-	s.mu.Lock()
-	keys := make([]xlate.Key, 0, len(s.entries))
-	for k := range s.entries {
-		keys = append(keys, k)
-	}
-	s.mu.Unlock()
-	sort.Slice(keys, func(i, j int) bool {
-		return bytes.Compare(keys[i][:], keys[j][:]) < 0
-	})
-	return keys
-}
-
-// Poison quarantines key for ttl (<= 0 means DefaultPoisonTTL): the cached
-// artifact, if any, is dropped immediately and lookups bypass the store
-// until the TTL expires. Poisoning is a wall-clock-only action — a VM that
-// misses because of it re-translates and charges the same simulated cost —
-// so callers may quarantine aggressively without perturbing Metrics.
-func (s *SharedStore) Poison(key xlate.Key, ttl time.Duration) {
-	if ttl <= 0 {
-		ttl = DefaultPoisonTTL
-	}
+// Poison quarantines key for the store's poison TTL: the cached artifact, on
+// probation or in the LRU, is dropped immediately and lookups bypass the
+// store until the TTL expires. Poisoning is a wall-clock-only action — a VM
+// that misses because of it re-translates and charges the same simulated
+// cost — so callers may quarantine aggressively without perturbing Metrics.
+func (s *SharedStore) Poison(key xlate.Key) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e := s.entries[key]; e != nil {
 		s.remove(e)
 	}
-	s.poison[key] = time.Now().Add(ttl)
+	s.poison[key] = time.Now().Add(s.poisonTTL)
 	s.poisons.Add(1)
 }
 
-// insert stores an artifact under key, evicting LRU entries to fit the
-// budget. Called with s.mu held. The newly inserted entry is always kept,
+// insert stores an artifact under key, on probation unless this is its
+// second request (waited) or probation already dropped it once (a ghost
+// key), and evicts to fit the budget: probation's oldest first, then the
+// LRU's. Called with s.mu held. The newly inserted entry is always kept,
 // even if it alone exceeds the budget — the budget bounds steady-state
 // residency, not a single artifact.
-func (s *SharedStore) insert(key xlate.Key, t *xlate.Translation) {
+func (s *SharedStore) insert(key xlate.Key, t *xlate.Translation, waited bool) {
 	if s.entries[key] != nil {
 		return // a concurrent producer won the race; keep its artifact
 	}
+	_, ghost := s.ghost[key]
+	delete(s.ghost, key)
 	atoms := t.CodeAtoms()
-	for s.curAtoms+atoms > s.capAtoms && s.lru.Len() > 0 {
-		s.remove(s.lru.Back().Value.(*sharedEntry))
+	for s.curAtoms+atoms > s.capAtoms && len(s.entries) > 0 {
+		s.evictOldest()
 	}
 	e := &sharedEntry{key: key, t: t, atoms: atoms}
-	e.elem = s.lru.PushFront(e)
 	s.entries[key] = e
 	s.curAtoms += atoms
+	switch {
+	case waited:
+		s.promotions.Add(1)
+		e.elem = s.lru.PushFront(e)
+	case ghost:
+		s.ghostAdmits.Add(1)
+		e.elem = s.lru.PushFront(e)
+	default:
+		e.probation = true
+		e.elem = s.probation.PushFront(e)
+		if s.probation.Len() > probationCap {
+			s.evictOldest()
+		}
+	}
 }
 
-// remove drops a resident entry and counts the eviction. Called with s.mu
+// promote moves a probation entry to the front of the LRU. Called with s.mu
 // held.
+func (s *SharedStore) promote(e *sharedEntry) {
+	s.probation.Remove(e.elem)
+	e.probation = false
+	e.elem = s.lru.PushFront(e)
+	s.promotions.Add(1)
+}
+
+// evictOldest drops probation's oldest artifact, keeping its key in the
+// ghost ring, or the LRU's least recently used one when probation is empty.
+// Called with s.mu held and at least one entry resident.
+func (s *SharedStore) evictOldest() {
+	if back := s.probation.Back(); back != nil {
+		e := back.Value.(*sharedEntry)
+		s.remove(e)
+		s.addGhost(e.key)
+		return
+	}
+	s.remove(s.lru.Back().Value.(*sharedEntry))
+}
+
+// addGhost remembers a key probation dropped, overwriting the oldest slot
+// once the ring is full. Called with s.mu held.
+func (s *SharedStore) addGhost(key xlate.Key) {
+	if len(s.ghostRing) < ghostCap {
+		s.ghost[key] = len(s.ghostRing)
+		s.ghostRing = append(s.ghostRing, key)
+		return
+	}
+	slot := s.ghostNext
+	if old := s.ghostRing[slot]; s.ghost[old] == slot {
+		delete(s.ghost, old)
+	}
+	s.ghostRing[slot] = key
+	s.ghost[key] = slot
+	s.ghostNext = (slot + 1) % ghostCap
+}
+
+// remove drops a resident entry from its segment and counts the eviction.
+// Called with s.mu held.
 func (s *SharedStore) remove(e *sharedEntry) {
-	s.lru.Remove(e.elem)
+	if e.probation {
+		s.probation.Remove(e.elem)
+	} else {
+		s.lru.Remove(e.elem)
+	}
 	delete(s.entries, e.key)
 	s.curAtoms -= e.atoms
 	s.evictions.Add(1)
@@ -304,6 +395,8 @@ func (s *SharedStore) Stats() SharedStats {
 		Waits:           s.waits.Load(),
 		Misses:          s.misses.Load(),
 		Evictions:       s.evictions.Load(),
+		Promotions:      s.promotions.Load(),
+		GhostAdmits:     s.ghostAdmits.Load(),
 		Poisons:         s.poisons.Load(),
 		PoisonHits:      s.poisonHits.Load(),
 		RehydrateHits:   s.rehydrateHits.Load(),

@@ -1,6 +1,7 @@
 package tcache
 
 import (
+	"container/list"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -115,6 +116,14 @@ func TestSharedStoreSingleFlight(t *testing.T) {
 	if st.Hits+st.Waits != n-1 {
 		t.Errorf("hits %d + waits %d, want %d", st.Hits, st.Waits, n-1)
 	}
+	// Whether the second request waited on the flight or hit probation, it
+	// promoted the artifact, once.
+	if st.Promotions != 1 {
+		t.Errorf("promotions = %d, want 1", st.Promotions)
+	}
+	if r := residency(t, s, sharedReq(t, 7).Key()); r != "lru" {
+		t.Errorf("artifact requested %d times resident in %q, want lru", n, r)
+	}
 }
 
 func TestSharedStoreEviction(t *testing.T) {
@@ -144,8 +153,8 @@ func TestSharedStoreEviction(t *testing.T) {
 
 // TestSharedStoreBudgetIsGlobal checks the atom budget is one exact budget
 // over the whole store, whatever the host's CPU count: N equal-size
-// artifacts fit a budget of exactly N, and the (N+1)th evicts exactly the
-// least recently used one.
+// artifacts fit a budget of exactly N, and the (N+1)th evicts exactly one,
+// the oldest still on probation.
 func TestSharedStoreBudgetIsGlobal(t *testing.T) {
 	const n = 8
 	reqs := make([]*xlate.Request, n+1)
@@ -174,7 +183,8 @@ func TestSharedStoreBudgetIsGlobal(t *testing.T) {
 		t.Fatalf("budget of %d artifacts holds %d (%d atoms, %d evictions), want all %d",
 			n, st.Entries, st.Atoms, st.Evictions, n)
 	}
-	// Touch the oldest so the second-oldest becomes the LRU entry.
+	// Touch the oldest, promoting it, so the second-oldest is the eviction
+	// candidate.
 	if _, hit, _ := s.Translate(reqs[0]); !hit {
 		t.Fatal("resident artifact missed")
 	}
@@ -190,10 +200,166 @@ func TestSharedStoreBudgetIsGlobal(t *testing.T) {
 			want[r.Key()] = true
 		}
 	}
-	for _, k := range s.Keys() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for k := range s.entries {
 		if !want[k] {
-			t.Errorf("resident key %s is the LRU artifact or unknown", k)
+			t.Errorf("resident key %s is the evicted artifact or unknown", k)
 		}
+	}
+}
+
+// residency reports where key sits: "probation", "lru", or "" when it is
+// not resident. It also checks the entry map agrees with the two lists.
+func residency(t *testing.T, s *SharedStore, key xlate.Key) string {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n := s.lru.Len() + s.probation.Len(); n != len(s.entries) {
+		t.Fatalf("lru %d + probation %d != %d entries", s.lru.Len(), s.probation.Len(), len(s.entries))
+	}
+	e := s.entries[key]
+	switch {
+	case e == nil:
+		return ""
+	case e.probation:
+		return "probation"
+	default:
+		return "lru"
+	}
+}
+
+// TestSharedStoreAdmission is the admission contract: a first miss waits on
+// probation, and a second request hits it and promotes it to the LRU.
+func TestSharedStoreAdmission(t *testing.T) {
+	s := NewShared(0)
+	key := sharedReq(t, 3).Key()
+	if _, hit, err := s.Translate(sharedReq(t, 3)); err != nil || hit {
+		t.Fatalf("first request: hit=%v err=%v", hit, err)
+	}
+	if r := residency(t, s, key); r != "probation" {
+		t.Fatalf("first miss resident in %q, want probation", r)
+	}
+	if _, hit, _ := s.Translate(sharedReq(t, 3)); !hit {
+		t.Fatal("second request must hit the artifact on probation")
+	}
+	if r := residency(t, s, key); r != "lru" {
+		t.Fatalf("after its second request the artifact is in %q, want lru", r)
+	}
+	if _, hit, _ := s.Translate(sharedReq(t, 3)); !hit {
+		t.Fatal("third request must hit the LRU")
+	}
+	if st := s.Stats(); st.Promotions != 1 || st.GhostAdmits != 0 || st.Entries != 1 {
+		t.Errorf("stats = %+v, want 1 promotion, 0 ghost admits, 1 entry", st)
+	}
+}
+
+// TestSharedStoreGhostAdmits overflows probation by one: the oldest first
+// miss is dropped with its key kept in the ghost ring, and its next miss
+// goes straight to the LRU.
+func TestSharedStoreGhostAdmits(t *testing.T) {
+	s := NewShared(0)
+	for imm := 1; imm <= probationCap+1; imm++ {
+		if _, _, err := s.Translate(sharedReq(t, imm)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first := sharedReq(t, 1).Key()
+	if st := s.Stats(); st.Entries != probationCap || st.Evictions != 1 {
+		t.Fatalf("after %d first misses: %d entries, %d evictions; want %d and 1",
+			probationCap+1, st.Entries, st.Evictions, probationCap)
+	}
+	if r := residency(t, s, first); r != "" {
+		t.Fatalf("oldest first miss still resident in %q", r)
+	}
+	s.mu.Lock()
+	_, ghost := s.ghost[first]
+	s.mu.Unlock()
+	if !ghost {
+		t.Fatal("dropped key is not in the ghost ring")
+	}
+	if _, hit, _ := s.Translate(sharedReq(t, 1)); hit {
+		t.Fatal("a ghost key must miss: its artifact was dropped")
+	}
+	if r := residency(t, s, first); r != "lru" {
+		t.Fatalf("ghost-key miss resident in %q, want lru", r)
+	}
+	if st := s.Stats(); st.GhostAdmits != 1 || st.Promotions != 0 {
+		t.Errorf("ghost admits %d, promotions %d; want 1 and 0", st.GhostAdmits, st.Promotions)
+	}
+}
+
+// TestSharedStoreGhostRingBounded drops more keys than the ghost ring holds:
+// the ring keeps the newest ghostCap, and a key dropped, admitted and
+// dropped again is not forgotten when its stale first slot is reused.
+func TestSharedStoreGhostRingBounded(t *testing.T) {
+	s := NewShared(0)
+	key := func(i int) xlate.Key { return xlate.Key{byte(i), byte(i >> 8), byte(i >> 16)} }
+	s.addGhost(key(0))
+	delete(s.ghost, key(0)) // admitted: its slot is now stale
+	for i := 1; i < ghostCap; i++ {
+		s.addGhost(key(i))
+	}
+	s.addGhost(key(0)) // dropped again: overwrites slot 0, the oldest
+	if len(s.ghost) != ghostCap || len(s.ghostRing) != ghostCap {
+		t.Fatalf("ghost map %d, ring %d; want %d each", len(s.ghost), len(s.ghostRing), ghostCap)
+	}
+	if _, ok := s.ghost[key(0)]; !ok {
+		t.Fatal("re-dropped key lost when its own stale slot was reused")
+	}
+	s.addGhost(key(ghostCap))
+	if _, ok := s.ghost[key(1)]; ok {
+		t.Error("oldest ghost survived a full ring's worth of newer drops")
+	}
+	if len(s.ghost) != ghostCap {
+		t.Errorf("ghost map grew to %d past the ring's %d", len(s.ghost), ghostCap)
+	}
+}
+
+// TestSharedStoreBudgetSpansSegments fills a three-artifact budget with one
+// promoted artifact and two on probation: the fourth evicts probation's
+// oldest, never the LRU, and Poison drops an artifact from either segment.
+func TestSharedStoreBudgetSpansSegments(t *testing.T) {
+	reqs := make([]*xlate.Request, 4)
+	for i := range reqs {
+		reqs[i] = sharedReq(t, i+1)
+	}
+	probe, _, err := NewShared(0).Translate(reqs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	atoms := probe.CodeAtoms()
+	s := NewShared(3 * atoms)
+	for _, i := range []int{0, 0, 1, 2} {
+		if _, _, err := s.Translate(reqs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st.Entries != 3 || st.Atoms != 3*atoms || st.Evictions != 0 {
+		t.Fatalf("budget of 3 holds %d entries (%d atoms, %d evictions), want 3", st.Entries, st.Atoms, st.Evictions)
+	}
+	if _, _, err := s.Translate(reqs[3]); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"lru", "", "probation", "probation"}
+	for i, r := range reqs {
+		if got := residency(t, s, r.Key()); got != want[i] {
+			t.Errorf("artifact %d resident in %q, want %q", i, got, want[i])
+		}
+	}
+	if st := s.Stats(); st.Entries != 3 || st.Atoms != 3*atoms || st.Evictions != 1 {
+		t.Fatalf("after a fourth: %d entries (%d atoms, %d evictions), want 3 and 1", st.Entries, st.Atoms, st.Evictions)
+	}
+	s.Poison(reqs[0].Key())
+	s.Poison(reqs[2].Key())
+	want = []string{"", "", "", "probation"}
+	for i, r := range reqs {
+		if got := residency(t, s, r.Key()); got != want[i] {
+			t.Errorf("after poisoning 0 and 2, artifact %d resident in %q, want %q", i, got, want[i])
+		}
+	}
+	if st := s.Stats(); st.Entries != 1 || st.Atoms != atoms {
+		t.Errorf("after two poisons: %d entries, %d atoms; want 1 and %d", st.Entries, st.Atoms, atoms)
 	}
 }
 
@@ -292,8 +458,17 @@ func TestSharedStoreTorture(t *testing.T) {
 	if s.curAtoms > s.capAtoms && len(s.entries) > 1 {
 		t.Errorf("%d atoms over budget %d with %d entries", s.curAtoms, s.capAtoms, len(s.entries))
 	}
-	if s.lru.Len() != len(s.entries) {
-		t.Errorf("lru %d vs entries %d", s.lru.Len(), len(s.entries))
+	if s.lru.Len()+s.probation.Len() != len(s.entries) {
+		t.Errorf("lru %d + probation %d vs entries %d", s.lru.Len(), s.probation.Len(), len(s.entries))
+	}
+	listed := 0
+	for _, l := range []*list.List{s.lru, s.probation} {
+		for el := l.Front(); el != nil; el = el.Next() {
+			listed += el.Value.(*sharedEntry).atoms
+		}
+	}
+	if listed != s.curAtoms {
+		t.Errorf("the two segments hold %d atoms, accounted %d", listed, s.curAtoms)
 	}
 	if len(s.inflight) != 0 {
 		t.Errorf("%d flights leaked", len(s.inflight))
@@ -350,7 +525,8 @@ func TestSharedStorePoisonTTL(t *testing.T) {
 	if _, hit, err := s.Translate(req); err != nil || hit {
 		t.Fatalf("prime: hit=%v err=%v", hit, err)
 	}
-	s.Poison(key, 50*time.Millisecond)
+	s.poisonTTL = 50 * time.Millisecond
+	s.Poison(key)
 	st := s.Stats()
 	if st.Poisons != 1 || st.Poisoned != 1 || st.Entries != 0 {
 		t.Fatalf("after poison: poisons=%d poisoned=%d entries=%d", st.Poisons, st.Poisoned, st.Entries)
@@ -383,6 +559,7 @@ func TestSharedStorePoisonTTL(t *testing.T) {
 // valid artifact or a clean private translation, and counters stay coherent.
 func TestSharedStorePoisonConcurrent(t *testing.T) {
 	s := NewShared(0)
+	s.poisonTTL = time.Millisecond
 	req := sharedReq(t, 9)
 	key := req.Key()
 	var wg sync.WaitGroup
@@ -403,7 +580,7 @@ func TestSharedStorePoisonConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				s.Poison(key, time.Millisecond)
+				s.Poison(key)
 				time.Sleep(500 * time.Microsecond)
 			}
 		}()

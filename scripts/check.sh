@@ -26,8 +26,11 @@ go test -race ./...
 # step arrays and through the risc register IR — plus its mutation test),
 # internal/bench importing no clock, the farm differentials (solo and
 # in-farm runs byte-identical over the shared store), the shared-store
-# torture test, the fault-containment chaos capstone, and the translator's
-# three (below). Running them again by name bought nothing; what the by-name
+# torture test and its admission contract (a first miss waits on probation,
+# a second request promotes, overflow remembers the key in a ghost ring, one
+# budget spans both segments, and residency stays flat under one-off
+# traffic), the fault-containment chaos capstone, and the translator's three
+# (below). Running them again by name bought nothing; what the by-name
 # lines guarded against is a contract being renamed away or dropped, and a
 # -list check catches that without executing anything.
 require_tests() {
@@ -42,8 +45,10 @@ require_tests() {
 	done
 }
 require_tests ./internal/farm/ TestFarmDifferential TestChaosServing \
-	TestRecycledVMDifferential TestRecycledVMCanary
-require_tests ./internal/tcache/ TestSharedStoreTorture TestSharedStoreBudgetIsGlobal
+	TestRecycledVMDifferential TestRecycledVMCanary TestStoreFlatUnderUniqueTraffic
+require_tests ./internal/tcache/ TestSharedStoreTorture TestSharedStoreBudgetIsGlobal \
+	TestSharedStoreAdmission TestSharedStoreGhostAdmits TestSharedStoreGhostRingBounded \
+	TestSharedStoreBudgetSpansSegments
 require_tests ./internal/bench/ TestBackendDifferential \
 	TestBackendDifferentialCatchesWrongCarry TestBenchIsClockFree
 # The translator's working memory is pooled across goroutines. What licenses
