@@ -245,17 +245,17 @@ func TestErrorCodes(t *testing.T) {
 		return ts, f
 	}
 	broken := func(t *testing.T) (*httptest.Server, *farm.Farm) {
-		// A full window of failures opens the circuit breaker; the default
+		// A full window of failures (32) opens the circuit breaker; the
 		// probe period (8) keeps the table's single request shed.
-		ts, f := newTestServer(t, farm.Config{MaxVMs: 1, BreakerWindow: 2})
-		for i := 0; i < 2; i++ {
+		ts, f := newTestServer(t, farm.Config{MaxVMs: 1})
+		for i := 0; !f.Stats().BreakerOpen; i++ {
+			if i == 64 {
+				t.Fatal("breaker did not open after 64 failed jobs")
+			}
 			if _, err := f.Submit(farm.JobSpec{Source: "not a program"}); err != nil {
 				t.Fatal(err)
 			}
-		}
-		f.Wait()
-		if !f.Stats().BreakerOpen {
-			t.Fatal("breaker did not open")
+			f.Wait()
 		}
 		return ts, f
 	}

@@ -174,14 +174,14 @@ func ExampleRunWorkload() {
 	// console output: "Starting Windows 98..."... (1541 bytes)
 	//
 	// guest instructions:     1049956
-	// molecules/instruction:  1.12
+	// molecules/instruction:  1.11
 	// translations:           23
 	// interrupts delivered:   350
 	// DMA invalidations:      1
 	// protection faults:      36 (fine-grain conversions 1)
 	// self-reval arms/passes: 30/28
 	// stylized SMC adoptions: 1
-	// chained exits:          40338 (vs 544 dispatcher returns)
+	// chained exits:          40338 (vs 251 dispatcher returns)
 }
 
 // The Quake Demo2 analog, a frame loop whose inner blitter is
@@ -219,7 +219,7 @@ func ExampleRunWorkload_smcgame() {
 		100*(rate(with)-rate(without))/rate(without))
 	// Output:
 	// frames rendered:                 50
-	// with self-revalidation:          123.4 frames/Mmol (140 prologue passes)
-	// without (invalidate+retranslate): 88.1 frames/Mmol (58 translations)
-	// frame-rate improvement:          40.1%  (paper reports 28%)
+	// with self-revalidation:          123.3 frames/Mmol (140 prologue passes)
+	// without (invalidate+retranslate): 88.1 frames/Mmol (59 translations)
+	// frame-rate improvement:          40.0%  (paper reports 28%)
 }

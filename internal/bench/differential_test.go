@@ -76,7 +76,9 @@ func backendRun(t *testing.T, w workload.Workload, name string, cfg cms.Config) 
 // simulated Metrics, same cache statistics. This is the deopt contract of
 // both compiled backends — only wall clock may move — held on the real
 // workload suite (the oracle holds it seed by seed on generated programs).
-func diffBackends(t *testing.T, w workload.Workload, cfg cms.Config) string {
+// The compiled runs also run their self-revalidation prologues compiled;
+// prologues counts the ones that passed.
+func diffBackends(t *testing.T, w workload.Workload, cfg cms.Config) (diff string, prologues uint64) {
 	t.Helper()
 	ci := cfg
 	ci.EnableCompiledBackend = false
@@ -91,26 +93,34 @@ func diffBackends(t *testing.T, w workload.Workload, cfg cms.Config) string {
 		backendRun(t, w, "risc-backend", cr),
 	} {
 		if d := fuzzer.DiffArch(si, s); d != "" {
-			return "architectural state diverged: " + d
+			return "architectural state diverged: " + d, 0
 		}
 		if d := fuzzer.DiffMetrics(si, s); d != "" {
-			return d
+			return d, 0
 		}
 	}
-	return ""
+	return "", si.Metrics.SelfRevalPasses
 }
 
 // TestBackendDifferential proves the interpretive, vliw and risc executors
 // are byte-for-byte equivalent on every workload kernel — including the SMC
-// and adaptive-retranslation workloads — under the default configuration.
+// and adaptive-retranslation workloads, whose self-revalidation prologues
+// run compiled on the compiled legs — under the default configuration.
 func TestBackendDifferential(t *testing.T) {
+	var prologues uint64
 	for _, w := range kernels() {
 		t.Run(w.Name, func(t *testing.T) {
-			if d := diffBackends(t, w, cms.DefaultConfig()); d != "" {
+			d, n := diffBackends(t, w, cms.DefaultConfig())
+			if d != "" {
 				t.Error(d)
 			}
+			prologues += n
 		})
 	}
+	if prologues < 100 {
+		t.Errorf("%d prologue passes across the kernels: the compiled prologue path is barely exercised", prologues)
+	}
+	t.Logf("%d self-revalidation prologues passed on each leg", prologues)
 }
 
 // TestBackendDifferentialCatchesWrongCarry is the mutation test for the risc
@@ -119,7 +129,7 @@ func TestBackendDifferential(t *testing.T) {
 func TestBackendDifferentialCatchesWrongCarry(t *testing.T) {
 	risc.TestWrongCarry = true
 	defer func() { risc.TestWrongCarry = false }()
-	if diffBackends(t, carryChain, cms.DefaultConfig()) == "" {
+	if d, _ := diffBackends(t, carryChain, cms.DefaultConfig()); d == "" {
 		t.Error("wrong-carry materializer went unnoticed")
 	}
 }

@@ -638,8 +638,9 @@ func (e *Engine) ImplicatedKey() (key xlate.Key, ok bool) {
 	return e.curEnt.T.SharedKey, true
 }
 
-// runPrologue executes a self-revalidation prologue (§3.6.2). pass reports
-// that the source is unchanged; otherwise why says how the entry surfaces.
+// runPrologue executes a self-revalidation prologue (§3.6.2), compiled when
+// translations run compiled. pass reports that the source is unchanged;
+// otherwise why says how the entry surfaces.
 func (e *Engine) runPrologue(ent *tcache.Entry) (why exitReason, pass bool) {
 	code, passExit, failExit, err := ent.T.Prologue()
 	if err != nil {
@@ -647,7 +648,13 @@ func (e *Engine) runPrologue(ent *tcache.Entry) (why exitReason, pass bool) {
 		return exitPrologueErr, false
 	}
 	mols0 := e.Machine.Mols
-	out := e.Machine.Exec(code)
+	var out *vliw.Outcome
+	if e.Cfg.EnableCompiledBackend {
+		out = e.Machine.ExecCompiled(ent.T.CompiledPrologue())
+	} else {
+		o := e.Machine.Exec(code)
+		out = &o
+	}
 	e.Metrics.MolsPrologue += e.Machine.Mols - mols0
 	switch {
 	case out.Fault == vliw.FIRQ:

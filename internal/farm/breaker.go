@@ -25,16 +25,16 @@ type breaker struct {
 	shed   atomic.Uint64
 }
 
-// breakerProbe is the probe admission period while the breaker is open.
-const breakerProbe = 8
+// breakerWindow is how many recent outcomes the ring holds; breakerProbe is
+// the probe admission period while the breaker is open.
+const (
+	breakerWindow = 32
+	breakerProbe  = 8
+)
 
-// init sizes the ring. window < 0 disables the breaker entirely.
-func (b *breaker) init(window int) {
-	if window < 0 {
-		return
-	}
-	b.slots = make([]atomic.Uint32, window)
-}
+// init sizes the ring to window outcomes. An empty ring disables the
+// breaker, which only tests ask for.
+func (b *breaker) init(window int) { b.slots = make([]atomic.Uint32, window) }
 
 // admit reports whether a submission may proceed. Closed (or disabled)
 // breaker: always. Open: only every probe-th caller.

@@ -66,13 +66,6 @@ type Config struct {
 	// replayable solo with `cmsfuzz -replay <bundle>`. Setup failures (a
 	// source that does not assemble) produce no bundle: no engine ran.
 	IncidentDir string
-
-	// BreakerWindow sizes the circuit breaker's recent-outcome ring
-	// (0 = default 32, negative = breaker disabled). The breaker opens when
-	// the window is full and at least half its outcomes are failures or
-	// timeouts; while open, Submit sheds load with ErrBreakerOpen, admitting
-	// every breakerProbe-th request as a probe. Any success closes it.
-	BreakerWindow int
 }
 
 func (c Config) normalized() Config {
@@ -84,9 +77,6 @@ func (c Config) normalized() Config {
 	}
 	if c.DefaultBudget == 0 {
 		c.DefaultBudget = 100_000_000
-	}
-	if c.BreakerWindow == 0 {
-		c.BreakerWindow = 32
 	}
 	return c
 }
@@ -358,7 +348,7 @@ func New(cfg Config) *Farm {
 		queue: make(chan *job, cfg.QueueDepth),
 		jobs:  make(map[string]*job),
 	}
-	f.breaker.init(cfg.BreakerWindow)
+	f.breaker.init(breakerWindow)
 	if cfg.IncidentDir != "" {
 		_ = os.MkdirAll(cfg.IncidentDir, 0o755) // best-effort; writes degrade gracefully
 	}

@@ -25,6 +25,15 @@ spin:
 	hlt
 `
 
+// newTestFarm is New with the circuit breaker's ring resized to window
+// outcomes; window 0 disables the breaker, for tests whose failures are the
+// point and must not be shed.
+func newTestFarm(cfg Config, window int) *Farm {
+	f := New(cfg)
+	f.breaker.init(window)
+	return f
+}
+
 // TestChaosPanicContained drives a deterministic injected panic through a
 // serving farm and asserts the blast radius: the job fails with the panic
 // captured, the implicated shared artifact is poisoned, incident bundles are
@@ -33,7 +42,7 @@ spin:
 // runner goes on to serve a healthy job — the process never stops serving.
 func TestChaosPanicContained(t *testing.T) {
 	dir := t.TempDir()
-	f := New(Config{MaxVMs: 1, Engine: cms.DefaultConfig(), IncidentDir: dir, BreakerWindow: -1})
+	f := newTestFarm(Config{MaxVMs: 1, Engine: cms.DefaultConfig(), IncidentDir: dir}, 0)
 	v, err := f.Submit(JobSpec{Source: testSource, InjectSeed: 7, ChaosPanics: true})
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +98,7 @@ func TestChaosPanicContained(t *testing.T) {
 func TestRetryDemotesToInterp(t *testing.T) {
 	eng := cms.DefaultConfig()
 	eng.EnableCompiledBackend = false
-	f := New(Config{MaxVMs: 1, Engine: eng, BreakerWindow: -1})
+	f := newTestFarm(Config{MaxVMs: 1, Engine: eng}, 0)
 	v, err := f.Submit(JobSpec{Source: testSource, InjectSeed: 7, ChaosPanics: true})
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +132,7 @@ func TestRetryDemotesToInterp(t *testing.T) {
 // bit-exactly from its retired-instruction count.
 func TestWatchdogDeadline(t *testing.T) {
 	dir := t.TempDir()
-	f := New(Config{MaxVMs: 2, Engine: cms.DefaultConfig(), IncidentDir: dir, BreakerWindow: -1})
+	f := newTestFarm(Config{MaxVMs: 2, Engine: cms.DefaultConfig(), IncidentDir: dir}, 0)
 	v, err := f.Submit(JobSpec{Source: spinSource, Budget: 4_000_000_000, DeadlineMs: 15})
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +176,7 @@ func TestWatchdogDeadline(t *testing.T) {
 // with ErrBreakerOpen while probe admissions slip through, and the first
 // probe that succeeds closes the breaker and restores normal admission.
 func TestBreakerOpensShedsAndCloses(t *testing.T) {
-	f := New(Config{MaxVMs: 1, QueueDepth: 16, BreakerWindow: 4})
+	f := newTestFarm(Config{MaxVMs: 1, QueueDepth: 16}, 4)
 	defer f.Drain()
 	for i := 0; i < 4; i++ {
 		if _, err := f.Submit(JobSpec{Source: "not a program"}); err != nil {
@@ -245,7 +254,7 @@ func TestConcurrentDrainIdempotent(t *testing.T) {
 // and checks the Prometheus exposition carries the new gauges.
 func TestFaultMetricsExposed(t *testing.T) {
 	dir := t.TempDir()
-	f := New(Config{MaxVMs: 1, Engine: cms.DefaultConfig(), IncidentDir: dir, BreakerWindow: -1})
+	f := newTestFarm(Config{MaxVMs: 1, Engine: cms.DefaultConfig(), IncidentDir: dir}, 0)
 	if _, err := f.Submit(JobSpec{Source: testSource, InjectSeed: 3, ChaosPanics: true}); err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +296,7 @@ func TestChaosServing(t *testing.T) {
 	const jobs = 240
 	dir := t.TempDir()
 	eng := cms.DefaultConfig()
-	f := New(Config{MaxVMs: 8, QueueDepth: jobs + 8, Engine: eng, IncidentDir: dir, BreakerWindow: -1})
+	f := newTestFarm(Config{MaxVMs: 8, QueueDepth: jobs + 8, Engine: eng, IncidentDir: dir}, 0)
 
 	ew, err := workload.ByName("eqntott")
 	if err != nil {

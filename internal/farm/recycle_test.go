@@ -282,7 +282,7 @@ func TestRecycledVMDifferential(t *testing.T) {
 
 			// A plug holds the only runner while everything else is queued,
 			// so the checkpoint flags are set before their jobs start.
-			f := New(Config{MaxVMs: 1, Engine: p.engine, BreakerWindow: -1, IncidentDir: t.TempDir()})
+			f := newTestFarm(Config{MaxVMs: 1, Engine: p.engine, IncidentDir: t.TempDir()}, 0)
 			plug := submit(t, f, JobSpec{Source: spinDirtySource, Budget: 4_000_000_000}, nil)
 			pred := submit(t, f, p.spec, p.restore)
 			if p.preempt {
@@ -394,7 +394,7 @@ func TestRecycledVMCanary(t *testing.T) {
 // address is beyond RAM, which used to take the whole process down from
 // outside the recover.
 func TestHostileDMAJobContained(t *testing.T) {
-	f := New(Config{MaxVMs: 1, Engine: cms.DefaultConfig(), BreakerWindow: 4})
+	f := newTestFarm(Config{MaxVMs: 1, Engine: cms.DefaultConfig()}, 4)
 	var ids []string
 	for i := 0; i < 4; i++ {
 		v, err := f.Submit(JobSpec{Source: hostileDMASource})

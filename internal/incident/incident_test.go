@@ -33,10 +33,9 @@ func captureBundle(t *testing.T) (string, *incident.Bundle) {
 	t.Helper()
 	dir := t.TempDir()
 	f := farm.New(farm.Config{
-		MaxVMs:        1,
-		Engine:        cms.DefaultConfig(),
-		IncidentDir:   dir,
-		BreakerWindow: -1,
+		MaxVMs:      1,
+		Engine:      cms.DefaultConfig(),
+		IncidentDir: dir,
 	})
 	v, err := f.Submit(farm.JobSpec{Source: chaosSource, InjectSeed: 11, ChaosPanics: true})
 	if err != nil {

@@ -244,7 +244,31 @@ func (ip *Interp) deliverAndCount(vec int, retEIP uint32) {
 
 // deliver pushes Flags and retEIP, clears IF, and vectors through the IVT,
 // writing the outcome to ip.res. It mutates no guest state on failure.
+// The common case needs only the bus fast paths (fastDelivery); anything
+// else takes deliverChecked, which makes every check. Both enter the
+// handler the same way, so they leave identical state.
 func (ip *Interp) deliver(vec int, retEIP uint32) {
+	sp := ip.CPU.Regs[guest.ESP]
+	if handler, ok := ip.fastDelivery(vec, sp); ok {
+		ip.enter(vec, retEIP, sp, handler)
+		return
+	}
+	ip.deliverChecked(vec, retEIP)
+}
+
+// fastDelivery returns vec's handler when delivery needs no further check:
+// the IVT word is in RAM and nonzero, and both stack words below sp lie in
+// one present, writable, non-MMIO page without CMS protection. ok false
+// says nothing about whether delivery would fail.
+func (ip *Interp) fastDelivery(vec int, sp uint32) (handler uint32, ok bool) {
+	handler, ok = ip.Bus.LoadRAM32(guest.IVTBase + 4*uint32(vec))
+	return handler, ok && handler != 0 && ip.Bus.FastWrite(sp-8, 8)
+}
+
+// deliverChecked is deliver with every check made: an unreadable IVT entry,
+// a zero handler, a faulting stack push or a CMS protection hit ends it
+// with the matching Result and no guest state changed.
+func (ip *Interp) deliverChecked(vec int, retEIP uint32) {
 	entry := guest.IVTBase + 4*uint32(vec)
 	if f := ip.Bus.CheckRead(entry, 4); f != nil {
 		ip.CPU.Halted = true
@@ -274,8 +298,14 @@ func (ip *Interp) deliver(vec int, retEIP uint32) {
 			return
 		}
 	}
-	ip.Bus.Write32(a1, ip.CPU.Flags)
-	ip.Bus.Write32(a2, retEIP)
+	ip.enter(vec, retEIP, sp, handler)
+}
+
+// enter completes a delivery whose checks have passed: it pushes Flags and
+// retEIP below sp, clears IF and jumps to handler.
+func (ip *Interp) enter(vec int, retEIP, sp, handler uint32) {
+	ip.Bus.Write32(sp-4, ip.CPU.Flags)
+	ip.Bus.Write32(sp-8, retEIP)
 	ip.CPU.Regs[guest.ESP] = sp - 8
 	ip.CPU.Flags &^= guest.FlagIF
 	ip.CPU.EIP = handler

@@ -213,8 +213,10 @@ func (d *digester) translation(t *xlate.Translation) {
 // the corpus. It was recorded at the commit before the back end's working
 // state was rewritten (pooled scratch, dense tables, flat dependence edges)
 // and must never move without a change that means to alter generated code:
-// "the rewrite emits byte-identical code" is this test.
-const translatorDigest = "104b227adb1b15e6bf82cc0defeb275b5ce849aadcf0c2c49f74a2d498c11ab9"
+// "the rewrite emits byte-identical code" is this test. It was re-pinned when
+// IRET became translatable (traces now end after it, as after RET): 9798
+// translations of 262698 guest insns became 9822 of 263796, 0 refused both.
+const translatorDigest = "79892f37503649e5547d4d5344a58b9aeb9a1f6e66769e0c82188000b2b242f7"
 
 func TestTranslatorOutputDigest(t *testing.T) {
 	c := corpus(t)

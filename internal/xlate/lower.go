@@ -53,7 +53,7 @@ func (sc *scratch) lower(entry uint32, insns []guest.Insn, pol Policy, mmio []bo
 	last := insns[len(insns)-1]
 	if _, jcc := last.Op.IsJcc(); !jcc {
 		switch last.Op {
-		case guest.OpJMPrel, guest.OpJMPr, guest.OpJMPm, guest.OpCALLrel, guest.OpCALLr, guest.OpRET:
+		case guest.OpJMPrel, guest.OpJMPr, guest.OpJMPm, guest.OpCALLrel, guest.OpCALLr, guest.OpRET, guest.OpIRET:
 		default:
 			e := ir.New(ir.OpExit)
 			e.GIdx = int32(len(insns) - 1)
@@ -178,6 +178,17 @@ func (lw *lowerer) insn(gi int32, in guest.Insn, hasNext bool) error {
 		a.Dst, a.A, a.Imm, a.GIdx = vESP, vESP, 4, gi
 		emit(a)
 		return t
+	}
+	// popFlags pops into EFLAGS, keeping only the bits POPF may change.
+	popFlags := func() {
+		t := pop()
+		t2 := lw.temp()
+		a := ir.New(ir.OpAnd)
+		a.Dst, a.A, a.Imm, a.GIdx = t2, t, guest.ArithFlags|guest.FlagIF, gi
+		emit(a)
+		o := ir.New(ir.OpOr)
+		o.Dst, o.A, o.Imm, o.GIdx = ir.VFlags, t2, guest.FlagsAlways, gi
+		emit(o)
 	}
 
 	switch in.Op {
@@ -438,14 +449,7 @@ func (lw *lowerer) insn(gi int32, in guest.Insn, hasNext bool) error {
 		i.Dst, i.A, i.GIdx = vd, t, gi
 		emit(i)
 	case guest.OpPOPF:
-		t := pop()
-		t2 := lw.temp()
-		a := ir.New(ir.OpAnd)
-		a.Dst, a.A, a.Imm, a.GIdx = t2, t, guest.ArithFlags|guest.FlagIF, gi
-		emit(a)
-		o := ir.New(ir.OpOr)
-		o.Dst, o.A, o.Imm, o.GIdx = ir.VFlags, t2, guest.FlagsAlways, gi
-		emit(o)
+		popFlags()
 
 	case guest.OpJMPrel:
 		if !hasNext {
@@ -484,8 +488,12 @@ func (lw *lowerer) insn(gi int32, in guest.Insn, hasNext bool) error {
 			e.Exit = lw.r.AddExit(ir.Exit{Kind: ir.ExitIndirect, Insns: int(gi) + 1})
 			emit(e)
 		}
-	case guest.OpRET:
+	case guest.OpRET, guest.OpIRET:
+		// IRET is RET that also pops EFLAGS (above the return address).
 		t := pop()
+		if in.Op == guest.OpIRET {
+			popFlags()
+		}
 		e := ir.New(ir.OpExitInd)
 		e.A, e.GIdx = t, gi
 		e.Exit = lw.r.AddExit(ir.Exit{Kind: ir.ExitIndirect, Insns: int(gi) + 1})

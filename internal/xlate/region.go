@@ -25,9 +25,10 @@ const maxInsnFetch = 16
 
 // selectRegion grows a trace from entry: straight-line code, followed
 // unconditional jumps, and the dominant side of strongly biased conditional
-// branches (per the interpreter's branch profile). The trace ends at system
-// instructions, indirect control flow, unbiased branches, a revisited
-// address (loop closure), or the policy's instruction cap.
+// branches (per the interpreter's branch profile). The trace ends before HLT
+// and INT, after indirect control flow (IRET included), at unbiased
+// branches, a revisited address (loop closure), or the policy's instruction
+// cap.
 func selectRegion(bus *mem.Bus, prof *interp.Profile, entry uint32, pol Policy) ([]guest.Insn, error) {
 	// The trace grows in a stack buffer that covers the default cap and is
 	// handed back exactly sized.
@@ -69,9 +70,10 @@ func growTrace(insns []guest.Insn, bus *mem.Bus, prof *interp.Profile, entry uin
 			break
 		}
 		switch in.Op {
-		case guest.OpHLT, guest.OpINT, guest.OpIRET:
-			// System instructions are left to the interpreter; the trace
-			// ends just before them.
+		case guest.OpHLT, guest.OpINT:
+			// HLT and INT are left to the interpreter; the trace ends just
+			// before them. IRET is only two pops and an indirect jump, so
+			// it is translated like RET.
 			if len(insns) == 0 {
 				return nil, fmt.Errorf("%w: %s at %#x", ErrUntranslatable, in.Op.Name(), pc)
 			}
@@ -83,7 +85,8 @@ func growTrace(insns []guest.Insn, bus *mem.Bus, prof *interp.Profile, entry uin
 		case in.Op == guest.OpJMPrel:
 			pc = in.BranchTarget()
 		case in.Op == guest.OpJMPr || in.Op == guest.OpJMPm ||
-			in.Op == guest.OpCALLrel || in.Op == guest.OpCALLr || in.Op == guest.OpRET:
+			in.Op == guest.OpCALLrel || in.Op == guest.OpCALLr || in.Op == guest.OpRET ||
+			in.Op == guest.OpIRET:
 			// Indirect or call/return flow ends the trace (the exit handles
 			// the transfer).
 			return insns, nil

@@ -60,6 +60,7 @@ type Translation struct {
 	Req *Request
 
 	prologue     *vliw.Code
+	prologueCC   *vliw.CompiledCode
 	prologuePass int
 	prologueFail int
 }
@@ -79,6 +80,7 @@ func (t *Translation) GuestLen() int { return len(t.Insns) }
 func (t *Translation) Clone() *Translation {
 	c := *t
 	c.prologue = nil
+	c.prologueCC = nil
 	c.prologuePass = 0
 	c.prologueFail = 0
 	return &c
@@ -168,6 +170,15 @@ func (t *Translation) Prologue() (code *vliw.Code, pass, fail int, err error) {
 		}
 	}
 	return t.prologue, t.prologuePass, t.prologueFail, nil
+}
+
+// CompiledPrologue returns the prologue's code in vliw.Compile's step-array
+// form, compiled on first use: nil until Prologue has built the code.
+func (t *Translation) CompiledPrologue() *vliw.CompiledCode {
+	if t.prologueCC == nil {
+		t.prologueCC = vliw.Compile(t.prologue)
+	}
+	return t.prologueCC
 }
 
 // checkWordsFor enumerates the 32-bit comparison units over the snapshot,

@@ -1,6 +1,7 @@
 package xlate
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -207,16 +208,23 @@ func TestRegionSelection(t *testing.T) {
 	}
 }
 
+// TestRegionRejectsSystemEntry: HLT and INT are the instructions only the
+// interpreter runs. A region cannot start at either, and a trace stops
+// just before them.
 func TestRegionRejectsSystemEntry(t *testing.T) {
-	p, _ := asm.Assemble(".org 0x1000\n hlt\n")
-	plat := dev.NewPlatform(1<<20, nil)
-	plat.Bus.WriteRaw(p.Org, p.Image)
-	if _, err := selectRegion(plat.Bus, nil, 0x1000, Policy{}); err == nil {
-		t.Fatal("hlt entry must be untranslatable")
+	for _, src := range []string{".org 0x1000\n hlt\n", ".org 0x1000\n int 0x21\n hlt\n"} {
+		bus, _ := assembleAt(t, src)
+		if _, err := selectRegion(bus, nil, 0x1000, Policy{}); !errors.Is(err, ErrUntranslatable) {
+			t.Errorf("%q: selectRegion err %v, want ErrUntranslatable", src, err)
+		}
+		tr := &Translator{Bus: bus}
+		if _, err := tr.Translate(0x1000, Policy{}); !errors.Is(err, ErrUntranslatable) {
+			t.Errorf("%q: Translate err %v, want ErrUntranslatable", src, err)
+		}
 	}
-	tr := &Translator{Bus: plat.Bus}
-	if _, err := tr.Translate(0x1000, Policy{}); err == nil {
-		t.Fatal("Translate must fail on hlt entry")
+	bus, _ := assembleAt(t, ".org 0x1000\n nop\n int 0x21\n nop\n hlt\n")
+	if insns, err := selectRegion(bus, nil, 0x1000, Policy{}); err != nil || len(insns) != 1 {
+		t.Fatalf("trace %v (err %v), want the nop before int alone", insns, err)
 	}
 }
 

@@ -56,9 +56,16 @@ require_tests ./internal/bench/ TestBackendDifferential \
 # beside other goroutines and on a junk-filled scratch changes nothing (the
 # full suite above ran this one under -race), and a translation allocates
 # its output only (skipped under -race, where sync.Pool drops at random; the
-# coverage run of internal/xlate below executes it).
+# coverage run of internal/xlate below executes it). IRET is translated as
+# an indirect transfer: traces end after it, an iret-only handler
+# translates, HLT and INT stay with the interpreter, and the lowering pops
+# EIP then EFLAGS under POPF's mask and matches the interpreter.
 require_tests ./internal/xlate/ TestTranslatorOutputDigest TestScratchPoolSafety \
-	TestTranslateAllocCeiling
+	TestTranslateAllocCeiling TestTraceEndsAfterIRET TestIRETOnlyHandlerTranslates \
+	TestRegionRejectsSystemEntry TestIRETLowering TestIRETMatchesInterpreter
+# Interrupt delivery's RAM fast path leaves exactly the state the checked
+# path leaves, across every case that must fall back to it.
+require_tests ./internal/interp/ TestDeliveryFastPathIsExact
 # Guest RAM is backed page by page on first write: reads never back a page,
 # a page's first word store is one generation step like any other, Reset
 # keeps zeroed backings for the next tenant, and building a VM allocates
@@ -68,10 +75,13 @@ require_tests ./internal/mem/ FuzzBusResetComplete TestReadsLeavePagesUnbacked \
 	TestFirstWriteBacksPage TestResetReusesBackings BenchmarkBusFastPaths
 # The engine: a VM's construction ceiling; forward progress — whenever pure
 # interpretation halts, translated execution halts too, with the same state;
-# and the dispatcher's books — every translated episode returns once, and
-# the dispatch molecules are exactly the lookups' and returns' charges.
+# the dispatcher's books — every translated episode returns once, and the
+# dispatch molecules are exactly the lookups' and returns' charges; and a
+# timer handler's IRET returning through translated code, leaving a latched
+# interrupt pending when it restores IF clear, and faulting genuinely.
 require_tests ./internal/cms/ TestConstructionAllocCeiling TestTranslationAddsNoLivelock \
-	TestDispatchLedgerBalances
+	TestDispatchLedgerBalances TestTranslatedIRETTimer TestIRETWithIFClearLeavesIRQPending \
+	TestIRETPopFaultIsGenuine
 # The compiled executor's two structural licences — the gated store buffer
 # against a byte-map model (its summaries are exact, its forwarding right),
 # and every molecule of a run entered directly, with and without an interrupt
